@@ -186,7 +186,6 @@ def run_alltoall(
     sink=None,
     keep_job: bool = True,
     fold: str = "off",
-    engine_jobs: int = 1,
     faults=None,
     **algorithm_options: Any,
 ) -> AlltoallOutcome:
@@ -219,11 +218,6 @@ def run_alltoall(
         in for the whole machine (always sound for the uniform exchange; see
         :mod:`repro.machine.folding`).  With folding off the simulated
         arithmetic is bit-identical to what it was before folding existed.
-    engine_jobs:
-        Worker count of the conservative-lookahead parallel engine
-        (:mod:`repro.simmpi.parallel`).  ``1`` (default) runs the serial
-        engine; any value yields bit-identical simulated timings, so this
-        knob is excluded from cache identity.
     faults:
         Optional :class:`repro.faults.FaultSpec` injecting deterministic
         machine degradations (degraded/flapping links, stragglers, OS
@@ -256,8 +250,7 @@ def run_alltoall(
     algo.validate(pmap)
 
     job = run_spmd(pmap, alltoall_program, algo, block_items, np.dtype(dtype),
-                   record_trace=record_trace, sink=sink, engine_jobs=engine_jobs,
-                   faults=faults)
+                   record_trace=record_trace, sink=sink, faults=faults)
 
     correct = True
     if validate:
@@ -554,7 +547,6 @@ def run_phased(
     record_trace: bool = False,
     sink=None,
     keep_job: bool = True,
-    engine_jobs: int = 1,
     faults=None,
 ) -> PhasedOutcome:
     """Simulate one or more phased jobs on a single engine timeline.
@@ -573,7 +565,7 @@ def run_phased(
         interference adaptive selection exploits.  Folded maps are
         rejected (phases and multi-job placements break the rotation
         symmetry folding relies on).
-    validate / record_trace / sink / keep_job / engine_jobs / faults:
+    validate / record_trace / sink / keep_job / faults:
         As in :func:`run_workload`; validation checks every phase of every
         job against the non-uniform reference transposition.
     """
@@ -632,8 +624,7 @@ def run_phased(
 
     engine_result = run_spmd(
         pmap, phased_program, tuple(plans), np_dtype,
-        record_trace=record_trace, sink=sink, engine_jobs=engine_jobs,
-        faults=faults,
+        record_trace=record_trace, sink=sink, faults=faults,
     )
 
     phase_times = {name: engine_result.phase_time(name) for name in engine_result.phases()}
@@ -720,7 +711,6 @@ def run_workload(
     sink=None,
     keep_job: bool = True,
     fold: str = "off",
-    engine_jobs: int = 1,
     faults=None,
     **algorithm_options: Any,
 ) -> WorkloadOutcome:
@@ -752,9 +742,6 @@ def run_workload(
         matrix as node-rotation invariant and falls back to the full
         simulation otherwise; ``"on"`` raises if the traffic is not
         foldable; ``"off"`` (default) always simulates every rank.
-    engine_jobs:
-        Parallel-engine worker count (see :func:`run_alltoall`); any value
-        produces bit-identical simulated timings.
     faults:
         Optional :class:`repro.faults.FaultSpec` (see :func:`run_alltoall`);
         incompatible with folding.
@@ -791,8 +778,7 @@ def run_workload(
     algo.validate(pmap, counts)
 
     job = run_spmd(pmap, workload_program, algo, counts, np.dtype(dtype),
-                   record_trace=record_trace, sink=sink, engine_jobs=engine_jobs,
-                   faults=faults)
+                   record_trace=record_trace, sink=sink, faults=faults)
 
     correct = True
     if validate:

@@ -161,25 +161,6 @@ class TimingModel:
             return 0.0
         return self._latency[level]
 
-    def lookahead(self) -> float:
-        """Conservative lower bound on cross-node data-arrival latency.
-
-        No payload sent between two distinct nodes can *arrive* sooner than
-        ``nic_message_overhead`` (the zero-byte NIC injection occupancy) plus
-        the NETWORK wire latency plus — when a fabric is configured — the
-        uncongested latency of its cheapest route.  With no fabric the NIC
-        floor plus wire latency is the whole bound.  The parallel engine
-        (:mod:`repro.simmpi.parallel`) uses this as its conservative-PDES
-        lookahead window; note that *sender-side* completions of rendezvous
-        sends are only bounded by the ``nic_message_overhead`` injection
-        floor, which is the runtime-guarded invariant.
-        """
-        bound = self._nic_message_overhead + self._latency[LocalityLevel.NETWORK]
-        fabric = self.fabric
-        if fabric is not None:
-            bound += fabric.min_route_latency()
-        return bound
-
     def transfer(
         self,
         src: int,

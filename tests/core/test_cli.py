@@ -267,14 +267,14 @@ class TestArgumentValidation:
     """Count-like flags must be rejected at parse time with a clean exit."""
 
     @pytest.mark.parametrize("argv", [
-        ["run", "--engine-jobs", "0"],
-        ["run", "--engine-jobs", "-1"],
+        ["run", "--ppn", "0"],
+        ["run", "--nodes", "-1"],
         ["run", "--msg-bytes", "0"],
-        ["figures", "--engine-jobs", "0"],
+        ["figures", "--nodes", "0"],
         ["figures", "--jobs", "-1"],
         ["figures", "--jobs", "x"],
         ["select", "--sizes", "4", "0"],
-        ["workload", "--engine-jobs", "0"],
+        ["workload", "--ppn", "0"],
         ["workload", "--msg-bytes", "-8"],
         ["perf", "--repeats", "0"],
     ])
@@ -286,26 +286,6 @@ class TestArgumentValidation:
     def test_jobs_zero_means_all_cores_and_is_accepted(self, capsys):
         assert main(["figures", "--id", "fig16", "--engine", "simulate",
                      "--nodes", "2", "--ppn", "4", "--jobs", "0"]) == 0
-
-
-class TestEngineJobsFlag:
-    def test_run_output_identical_at_any_worker_count(self, capsys):
-        argv = ["run", "--system", "dane", "--nodes", "4", "--ppn", "2",
-                "--algorithm", "pairwise", "--msg-bytes", "256"]
-        assert main(argv) == 0
-        serial = capsys.readouterr().out
-        assert main([*argv, "--engine-jobs", "4"]) == 0
-        parallel = capsys.readouterr().out
-        assert parallel == serial
-
-    def test_figures_output_identical_at_any_worker_count(self, capsys):
-        argv = ["figures", "--id", "fig10", "--engine", "simulate",
-                "--nodes", "2", "--ppn", "4", "--csv"]
-        assert main(argv) == 0
-        serial = capsys.readouterr().out
-        assert main([*argv, "--engine-jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert parallel == serial
 
 
 class TestTraceCommand:

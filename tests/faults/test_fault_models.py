@@ -6,7 +6,7 @@ Three invariants matter:
   simulated timing exactly as it was (the golden timing fixture pins the
   same thing end to end);
 * **determinism** — a given (FaultSpec, seed) produces exactly the same
-  timings on every run and at every ``engine_jobs`` value;
+  timings on every run;
 * **direction** — degraded links and flapping links can only slow the
   traffic that crosses them; inert patterns change nothing.
 """
@@ -34,9 +34,8 @@ def _tiny_pmap(nodes=2, ppn=4) -> ProcessMap:
     return ProcessMap(tiny_cluster(num_nodes=nodes), ppn=ppn)
 
 
-def _elapsed(pmap, faults=None, *, engine_jobs=1, algorithm="pairwise", msg_bytes=64):
-    return run_alltoall(algorithm, pmap, msg_bytes, keep_job=False,
-                        faults=faults, engine_jobs=engine_jobs).elapsed
+def _elapsed(pmap, faults=None, *, algorithm="pairwise", msg_bytes=64):
+    return run_alltoall(algorithm, pmap, msg_bytes, keep_job=False, faults=faults).elapsed
 
 
 class TestOffIsBitIdentical:
@@ -110,15 +109,6 @@ class TestDeterminism:
         pmap = _dragonfly_pmap()
         faults = parse_faults(text)
         assert _elapsed(pmap, faults) == _elapsed(pmap, faults)
-
-    @pytest.mark.parametrize("text", ALL_KINDS)
-    def test_engine_jobs_invariance(self, text):
-        pmap = _dragonfly_pmap()
-        faults = parse_faults(text)
-        serial = _elapsed(pmap, faults, algorithm="node-aware")
-        for jobs in (2, 3):
-            assert _elapsed(pmap, faults, engine_jobs=jobs,
-                            algorithm="node-aware") == serial
 
     def test_noise_seed_changes_timings(self):
         pmap = _tiny_pmap()

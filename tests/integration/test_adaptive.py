@@ -77,19 +77,6 @@ class TestAdaptiveFigure:
             f"({static_total:.3e} s) on the interference scenario"
         )
 
-    def test_figure_is_deterministic_across_engine_jobs(self):
-        def rows(figure):
-            return [
-                (series.label, point.x, point.seconds)
-                for series in figure.series
-                for point in series.points
-            ]
-
-        workload = adaptive_demo_workload(16)
-        reference = figure_adaptive(workload=workload)
-        for engine_jobs in (2, 4):
-            assert rows(figure_adaptive(workload=workload, engine_jobs=engine_jobs)) == rows(reference)
-
     def test_cached_rerun_simulates_nothing(self, tmp_path):
         workload = adaptive_demo_workload(16)
         store = ResultStore(tmp_path / "cache")

@@ -97,15 +97,8 @@ class TestPhasedDifferential:
         assert record.ok, [f.detail for f in record.failures]
         assert len(record.verified) > 0
 
-    def test_bit_identical_across_engine_jobs(self):
-        serial = verify_seed(PHASED_SEED, 16, phased=True)
-        parallel = verify_seed(PHASED_SEED, 16, phased=True, engine_jobs=4)
-        assert serial.digest == parallel.digest
-        assert serial.result_hash == parallel.result_hash
-        assert serial.ok == parallel.ok
-
     def test_verify_task_trailing_phased_slot(self):
-        record = verify_task((PHASED_SEED, 16, None, 1, None, True))
+        record = verify_task((PHASED_SEED, 16, None, None, True))
         assert record.family == "phased"
         assert record.ok
 
