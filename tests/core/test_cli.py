@@ -288,6 +288,31 @@ class TestArgumentValidation:
                      "--nodes", "2", "--ppn", "4", "--jobs", "0"]) == 0
 
 
+class TestRemovedEngineJobsFlag:
+    @pytest.mark.parametrize("command", ["run", "figures", "workload", "select", "verify"])
+    def test_engine_jobs_is_an_unknown_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--engine-jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --engine-jobs" in capsys.readouterr().err
+
+    def test_run_output_identical_across_invocations(self, capsys):
+        argv = ["run", "--system", "dane", "--nodes", "4", "--ppn", "2",
+                "--algorithm", "pairwise", "--msg-bytes", "256"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
+    def test_figures_output_identical_across_invocations(self, capsys):
+        argv = ["figures", "--id", "fig10", "--engine", "simulate",
+                "--nodes", "2", "--ppn", "4", "--csv"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
+
 class TestTraceCommand:
     def test_uniform_trace_end_to_end(self, tmp_path, capsys):
         out_path = tmp_path / "trace.json"

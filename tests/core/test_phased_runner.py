@@ -1,5 +1,6 @@
 """Tests for phased runs: PhasedJob, run_phased, job views and select_phased."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -75,6 +76,17 @@ class TestRunPhasedSingleJob:
         with pytest.raises(ConfigurationError):
             run_phased_workload("nonblocking", pmap, _workload(8))
 
+    def test_bit_identical_across_repeat_runs(self):
+        pmap = ProcessMap(tiny_cluster(num_nodes=4), ppn=2)
+        workload = _workload(8)
+        reference = run_phased_workload("node-aware", pmap, workload)
+        outcome = run_phased_workload("node-aware", pmap, workload)
+        assert outcome.elapsed == reference.elapsed
+        assert outcome.phase_times == reference.phase_times
+        for got, want in zip(outcome.job.results, reference.job.results):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
 
 class TestRunPhasedMultiJob:
     def _pmap(self, num_nodes=4, ppn=2):
@@ -130,6 +142,17 @@ class TestRunPhasedMultiJob:
                 ],
                 pmap,
             )
+
+    def test_multi_job_bit_identical_across_repeat_runs(self):
+        pmap = self._pmap()
+        jobs = [
+            PhasedJob.make(_workload(4, seed=0), "nonblocking", 2),
+            PhasedJob.make(_workload(4, seed=1), "node-aware", 2),
+        ]
+        reference = run_phased(jobs, pmap)
+        outcome = run_phased(jobs, pmap)
+        assert outcome.elapsed == reference.elapsed
+        assert outcome.phase_times == reference.phase_times
 
 
 class TestSelectPhased:

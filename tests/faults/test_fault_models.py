@@ -110,6 +110,18 @@ class TestDeterminism:
         faults = parse_faults(text)
         assert _elapsed(pmap, faults) == _elapsed(pmap, faults)
 
+    @pytest.mark.parametrize("text", ALL_KINDS)
+    def test_interleaved_healthy_run_changes_nothing(self, text):
+        # Faults live in per-job state: a healthy run on the same machine
+        # between two faulted ones sees the healthy fabric, and the second
+        # faulted run sees exactly the first one's faults.
+        pmap = _dragonfly_pmap()
+        faults = parse_faults(text)
+        healthy = _elapsed(pmap, algorithm="node-aware")
+        faulted = _elapsed(pmap, faults, algorithm="node-aware")
+        assert _elapsed(pmap, algorithm="node-aware") == healthy
+        assert _elapsed(pmap, faults, algorithm="node-aware") == faulted
+
     def test_noise_seed_changes_timings(self):
         pmap = _tiny_pmap()
         assert _elapsed(pmap, parse_faults("os-noise:1e-6;seed:1")) != \

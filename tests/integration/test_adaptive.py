@@ -77,6 +77,17 @@ class TestAdaptiveFigure:
             f"({static_total:.3e} s) on the interference scenario"
         )
 
+    def test_figure_is_deterministic_across_repeat_runs(self):
+        def rows(figure):
+            return [
+                (series.label, point.x, point.seconds)
+                for series in figure.series
+                for point in series.points
+            ]
+
+        workload = adaptive_demo_workload(16)
+        assert rows(figure_adaptive(workload=workload)) == rows(figure_adaptive(workload=workload))
+
     def test_cached_rerun_simulates_nothing(self, tmp_path):
         workload = adaptive_demo_workload(16)
         store = ResultStore(tmp_path / "cache")

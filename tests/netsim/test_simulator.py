@@ -129,3 +129,137 @@ class TestScheduling:
         sim.schedule_at(0.0, nested)
         sim.run()
         assert len(errors) == 1
+
+
+class TestOrdering:
+    """Event order is ``(time, seq)``: same-instant events fire as scheduled."""
+
+    def test_ties_broken_by_scheduling_order(self):
+        sim = Simulator()
+        seen = []
+        for tag in "abcde":
+            sim.schedule_at(1.0, lambda tag=tag: seen.append(tag))
+        sim.run()
+        assert seen == list("abcde")
+
+    def test_ties_span_every_scheduling_call(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule_call(1.0, seen.append, "call")
+        sim.schedule_at(1.0, lambda: seen.append("at"))
+        sim.schedule_after(1.0, lambda: seen.append("after"))
+        sim.schedule_call(1.0, lambda a, b: seen.append(a + b), "tw", "o")
+        sim.run()
+        assert seen == ["call", "at", "after", "two"]
+
+    def test_event_scheduled_now_runs_after_pending_ties(self):
+        sim = Simulator()
+        seen = []
+
+        def first():
+            seen.append("first")
+            sim.schedule_after(0.0, lambda: seen.append("scheduled-now"))
+
+        sim.schedule_at(1.0, first)
+        sim.schedule_at(1.0, lambda: seen.append("second"))
+        sim.run()
+        assert seen == ["first", "second", "scheduled-now"]
+
+    def test_reset_restarts_tie_order(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        sim.run()
+        sim.reset()
+        seen = []
+        sim.schedule_at(1.0, lambda: seen.append("a"))
+        sim.schedule_at(1.0, lambda: seen.append("b"))
+        sim.run()
+        assert seen == ["a", "b"]
+
+
+class TestScheduleCall:
+    def test_two_arguments_bound_directly(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule_call(2.0, lambda a, b: seen.append((sim.now, a, b)), 1, "x")
+        sim.run()
+        assert seen == [(2.0, 1, "x")]
+
+    @pytest.mark.parametrize("args", [(), (1,), (1, 2, 3)])
+    def test_other_arities_go_through_trampoline(self, args):
+        sim = Simulator()
+        seen = []
+        sim.schedule_call(1.0, lambda *got: seen.append(got), *args)
+        sim.run()
+        assert seen == [args]
+
+    def test_past_time_rejected(self):
+        sim = Simulator()
+        sim.schedule_at(3.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError, match="past"):
+            sim.schedule_call(1.0, lambda a, b: None, 1, 2)
+
+    def test_single_ulp_in_past_clamped_to_now(self):
+        import math
+
+        sim = Simulator()
+        sim.schedule_at(0.0084, lambda: None)
+        sim.run()
+        seen = []
+        sim.schedule_call(math.nextafter(sim.now, 0.0), lambda a, b: seen.append(sim.now), 0, 0)
+        sim.run()
+        assert seen == [0.0084]
+
+
+class TestRunLoop:
+    def test_event_at_until_boundary_fires(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule_at(2.0, lambda: seen.append(2))
+        sim.schedule_at(2.5, lambda: seen.append(2.5))
+        assert sim.run(until=2.0) == 2.0
+        assert seen == [2]
+        assert sim.pending_events == 1
+
+    def test_empty_queue_returns_current_time(self):
+        sim = Simulator()
+        assert sim.run() == 0.0
+        sim.schedule_at(1.5, lambda: None)
+        sim.run()
+        assert sim.run() == 1.5
+        assert sim.events_processed == 1
+
+    def test_event_count_accumulates_across_runs(self):
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        sim.run()
+        sim.schedule_at(2.0, lambda: None)
+        sim.schedule_at(3.0, lambda: None)
+        sim.run()
+        assert sim.events_processed == 3
+
+    def test_event_cap_is_cumulative_across_runs(self):
+        sim = Simulator(max_events=3)
+        sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
+        sim.run()
+        sim.schedule_at(3.0, lambda: None)
+        sim.schedule_at(4.0, lambda: None)
+        with pytest.raises(SimulationError, match="exceeded 3 events"):
+            sim.run()
+
+    def test_failing_callback_leaves_simulator_usable(self):
+        sim = Simulator()
+
+        def boom():
+            raise RuntimeError("callback failed")
+
+        sim.schedule_at(1.0, boom)
+        sim.schedule_at(2.0, lambda: None)
+        with pytest.raises(RuntimeError, match="callback failed"):
+            sim.run()
+        assert sim.events_processed == 1
+        assert sim.now == 1.0
+        assert sim.run() == 2.0
+        assert sim.events_processed == 2

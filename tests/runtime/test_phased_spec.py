@@ -60,6 +60,10 @@ class TestPhasedSpecIdentity:
     def test_key_is_pure_function_of_plan(self):
         assert _phased_spec().key() == _phased_spec().key()
 
+    def test_engine_jobs_is_not_a_spec_field(self):
+        with pytest.raises(TypeError, match="engine_jobs"):
+            _phased_spec(engine_jobs=4)
+
     def test_key_moves_with_workload_content(self):
         cluster = tiny_cluster(num_nodes=2)
         a = PointSpec.for_phased(

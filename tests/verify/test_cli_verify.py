@@ -43,6 +43,12 @@ class TestSweep:
     def test_max_ranks_is_honoured(self, capsys):
         assert main(["verify", "--seed", "1", "--count", "2", "--max-ranks", "4"]) == 0
 
+    def test_sweep_is_bit_identical_across_invocations(self, capsys):
+        assert main(["verify", "--seed", "2025", "--count", "2"]) == 0
+        first = capsys.readouterr().out
+        assert main(["verify", "--seed", "2025", "--count", "2"]) == 0
+        assert capsys.readouterr().out == first
+
     def test_failure_exits_nonzero_with_reproducer(self, capsys, monkeypatch):
         import repro.verify
 
@@ -98,3 +104,12 @@ class TestPhasedFlag:
         assert main(["verify", "--seed", "2025100", "--count", "1",
                      "--max-ranks", "12"]) == 0
         assert "phased" not in capsys.readouterr().out
+
+    def test_phased_is_bit_identical_across_invocations(self, capsys):
+        argv = ["verify", "--seed", "2025100", "--count", "1", "--phased",
+                "--max-ranks", "12"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert "phased" in first
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first

@@ -97,6 +97,14 @@ class TestPhasedDifferential:
         assert record.ok, [f.detail for f in record.failures]
         assert len(record.verified) > 0
 
+    def test_bit_identical_across_repeat_runs(self):
+        first = verify_seed(PHASED_SEED, 16, phased=True)
+        again = verify_seed(PHASED_SEED, 16, phased=True)
+        assert first.family == "phased"
+        assert first.digest == again.digest
+        assert first.result_hash == again.result_hash
+        assert first.ok == again.ok
+
     def test_verify_task_trailing_phased_slot(self):
         record = verify_task((PHASED_SEED, 16, None, None, True))
         assert record.family == "phased"
