@@ -120,7 +120,7 @@ class AlltoallOutcome:
     phase_times: dict[str, float] = field(default_factory=dict)
     #: Message and byte counts per locality level.
     traffic_by_level: dict[LocalityLevel, tuple[int, int]] = field(default_factory=dict)
-    #: Full engine result (per-rank data, traces, NIC statistics).
+    #: Full engine result (per-rank data, metrics, NIC statistics).
     job: JobResult | None = None
     #: Symmetry-folding metadata (``None`` for unfolded runs); mirrors
     #: :attr:`repro.simmpi.engine.JobResult.fold` so it survives
@@ -182,7 +182,6 @@ def run_alltoall(
     *,
     dtype=np.uint8,
     validate: bool = True,
-    record_trace: bool = False,
     sink=None,
     keep_job: bool = True,
     fold: str = "off",
@@ -205,9 +204,6 @@ def run_alltoall(
         multiple of its item size.
     validate:
         Check the receive buffers against the reference transposition.
-    record_trace:
-        Keep a full per-message trace on the returned job (slower, more
-        memory; used by the breakdown figures and some tests).
     sink:
         Optional :class:`repro.obs.sink.EventSink` observing the job's
         simulated lifecycle (phase/wait/match/NIC/link events); ``None``
@@ -250,7 +246,7 @@ def run_alltoall(
     algo.validate(pmap)
 
     job = run_spmd(pmap, alltoall_program, algo, block_items, np.dtype(dtype),
-                   record_trace=record_trace, sink=sink, faults=faults)
+                   sink=sink, faults=faults)
 
     correct = True
     if validate:
@@ -306,7 +302,7 @@ class WorkloadOutcome:
     phase_times: dict[str, float] = field(default_factory=dict)
     #: Message and byte counts per locality level.
     traffic_by_level: dict[LocalityLevel, tuple[int, int]] = field(default_factory=dict)
-    #: Full engine result (per-rank data, traces, NIC statistics).
+    #: Full engine result (per-rank data, metrics, NIC statistics).
     job: JobResult | None = None
     #: Symmetry-folding metadata (``None`` for unfolded runs).
     fold: dict | None = None
@@ -343,6 +339,12 @@ class WorkloadOutcome:
 # ---------------------------------------------------------------------------
 
 
+def _is_option_pair(entry) -> bool:
+    """Whether ``entry`` is one ``(name, options)`` pair (not a tuple of names)."""
+    return (isinstance(entry, tuple) and len(entry) == 2
+            and isinstance(entry[0], str) and not isinstance(entry[1], str))
+
+
 @dataclass(frozen=True)
 class PhasedJob:
     """One job of a phased run: a workload, its per-phase algorithms, its nodes.
@@ -364,10 +366,13 @@ class PhasedJob:
         ``algorithms`` may be a single algorithm (name, ``(name, options)``
         pair, or anything with ``.algorithm``/``.as_kwargs()`` such as a
         :class:`~repro.core.selection.CandidateConfig`) applied to every
-        phase, or a sequence with one such entry per phase.
+        phase, or a sequence with one such entry per phase.  A tuple is one
+        ``(name, options)`` pair only when it holds a name followed by a
+        non-name; ``("pairwise", "nonblocking")`` names two phases.
         """
         num_phases = workload.num_phases
-        if isinstance(algorithms, (str, tuple)) or hasattr(algorithms, "algorithm"):
+        if (isinstance(algorithms, str) or hasattr(algorithms, "algorithm")
+                or _is_option_pair(algorithms)):
             entries = [algorithms] * num_phases
         else:
             entries = list(algorithms)
@@ -382,8 +387,15 @@ class PhasedJob:
                 name, options = entry.algorithm, entry.as_kwargs()
             elif isinstance(entry, str):
                 name, options = entry, {}
-            elif isinstance(entry, tuple) and len(entry) == 2:
-                name, options = entry[0], dict(entry[1])
+            elif _is_option_pair(entry):
+                name = entry[0]
+                try:
+                    options = dict(entry[1])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigurationError(
+                        f"options of phase algorithm {name!r} must be a mapping or "
+                        f"(key, value) pairs, got {entry[1]!r}"
+                    ) from exc
             else:
                 raise ConfigurationError(
                     f"cannot interpret {entry!r} as a phase algorithm; expected "
@@ -544,7 +556,6 @@ def run_phased(
     *,
     dtype=np.uint8,
     validate: bool = True,
-    record_trace: bool = False,
     sink=None,
     keep_job: bool = True,
     faults=None,
@@ -565,7 +576,7 @@ def run_phased(
         interference adaptive selection exploits.  Folded maps are
         rejected (phases and multi-job placements break the rotation
         symmetry folding relies on).
-    validate / record_trace / sink / keep_job / faults:
+    validate / sink / keep_job / faults:
         As in :func:`run_workload`; validation checks every phase of every
         job against the non-uniform reference transposition.
     """
@@ -624,7 +635,7 @@ def run_phased(
 
     engine_result = run_spmd(
         pmap, phased_program, tuple(plans), np_dtype,
-        record_trace=record_trace, sink=sink, faults=faults,
+        sink=sink, faults=faults,
     )
 
     phase_times = {name: engine_result.phase_time(name) for name in engine_result.phases()}
@@ -707,7 +718,6 @@ def run_workload(
     *,
     dtype=np.uint8,
     validate: bool = True,
-    record_trace: bool = False,
     sink=None,
     keep_job: bool = True,
     fold: str = "off",
@@ -732,8 +742,6 @@ def run_workload(
     validate:
         Check the receive buffers against the non-uniform reference
         transposition.
-    record_trace:
-        Keep a full per-message trace on the returned job.
     sink:
         Optional :class:`repro.obs.sink.EventSink` (see :func:`run_alltoall`).
     fold:
@@ -778,7 +786,7 @@ def run_workload(
     algo.validate(pmap, counts)
 
     job = run_spmd(pmap, workload_program, algo, counts, np.dtype(dtype),
-                   record_trace=record_trace, sink=sink, faults=faults)
+                   sink=sink, faults=faults)
 
     correct = True
     if validate:

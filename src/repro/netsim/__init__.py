@@ -2,9 +2,8 @@
 
 This package contains the generic machinery underneath the simulated MPI
 layer: a time-ordered event simulator, serial resources used to model NIC
-injection serialization, inter-node fabric topologies with per-link
-contention, and a trace recorder for per-message accounting.  It knows
-nothing about MPI semantics — those live in :mod:`repro.simmpi`.
+injection serialization, and inter-node fabric topologies with per-link
+contention.  It knows nothing about MPI semantics — those live in :mod:`repro.simmpi`.
 """
 
 from repro.netsim.fabric import (
@@ -17,16 +16,12 @@ from repro.netsim.fabric import (
     list_fabrics,
     parse_fabric,
 )
-from repro.netsim.resources import SerialResource, ThroughputTracker
+from repro.netsim.resources import SerialResource
 from repro.netsim.simulator import Simulator
-from repro.netsim.trace import MessageRecord, TraceRecorder
 
 __all__ = [
     "SerialResource",
-    "ThroughputTracker",
     "Simulator",
-    "MessageRecord",
-    "TraceRecorder",
     "FabricSpec",
     "FabricState",
     "FullBisectionFabric",

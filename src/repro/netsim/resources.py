@@ -1,23 +1,21 @@
-"""Serial resources used to model shared hardware.
+"""The serial resource used to model shared hardware.
 
 The dominant shared resource in the paper's setting is the per-node NIC:
 when 112 ranks on a node all inject inter-node messages, those messages
 serialize on the NIC's message-processing pipeline and injection bandwidth.
 :class:`SerialResource` models exactly that: a single server that handles
-one reservation at a time, in the order reservations are requested.
-
-:class:`ThroughputTracker` is a lighter-weight accounting helper used to
-report how many bytes crossed a resource (for the intra- vs inter-node
-breakdown figures).
+one reservation at a time, in the order reservations are requested, and
+counts its reservations and busy time.  Per-level message and byte totals
+live on the message router (``MessageRouter.traffic_by_level``), not here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SimulationError
 
-__all__ = ["SerialResource", "ThroughputTracker"]
+__all__ = ["SerialResource"]
 
 
 @dataclass
@@ -58,51 +56,3 @@ class SerialResource:
         self.available_at = 0.0
         self.busy_time = 0.0
         self.reservations = 0
-
-
-@dataclass
-class ThroughputTracker:
-    """Accumulates message and byte counts crossing a resource or level.
-
-    ``per_key`` maps a key to a **mutable** ``[messages, bytes]`` pair so
-    the steady state of a record is two in-place increments (the simulated
-    message router inlines exactly this); consumers wanting an immutable
-    view normalise with ``tuple(counts)``.
-    """
-
-    name: str = "traffic"
-    messages: int = 0
-    total_bytes: int = 0
-    per_key: dict = field(default_factory=dict)
-
-    def record(self, nbytes: int, key=None) -> None:
-        if nbytes < 0:
-            raise SimulationError("cannot record a negative byte count")
-        self.messages += 1
-        self.total_bytes += nbytes
-        if key is not None:
-            counts = self.per_key.get(key)
-            if counts is None:
-                self.per_key[key] = [1, nbytes]
-            else:
-                counts[0] += 1
-                counts[1] += nbytes
-
-    def merge(self, other: "ThroughputTracker") -> None:
-        self.messages += other.messages
-        self.total_bytes += other.total_bytes
-        for key, (msgs, byts) in other.per_key.items():
-            counts = self.per_key.get(key)
-            if counts is None:
-                self.per_key[key] = [msgs, byts]
-            else:
-                counts[0] += msgs
-                counts[1] += byts
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "messages": self.messages,
-            "bytes": self.total_bytes,
-            "per_key": {key: tuple(counts) for key, counts in self.per_key.items()},
-        }

@@ -190,10 +190,10 @@ def build_job_metrics(engine) -> dict:
     depth.set(sum(len(m.unexpected) for m in router._mailboxes))  # final level
 
     # -- traffic -----------------------------------------------------------
-    traffic = router.traffic
-    registry.counter("traffic.messages", traffic.messages)
-    registry.counter("traffic.bytes", traffic.total_bytes)
-    for level, counts in traffic.per_key.items():
+    traffic = router.traffic_by_level
+    registry.counter("traffic.messages", sum(counts[0] for counts in traffic.values()))
+    registry.counter("traffic.bytes", sum(counts[1] for counts in traffic.values()))
+    for level, counts in traffic.items():
         key = level.name.lower() if hasattr(level, "name") else str(level)
         registry.counter(f"traffic.by_level.{key}.messages", counts[0])
         registry.counter(f"traffic.by_level.{key}.bytes", counts[1])

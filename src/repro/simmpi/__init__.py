@@ -24,7 +24,8 @@ call is made with ``yield from``, e.g.::
     result = run_spmd(process_map, program)
 
 The returned :class:`~repro.simmpi.engine.JobResult` carries per-rank
-results, the simulated elapsed time and (optionally) a full message trace.
+results, the simulated elapsed time, per-level traffic and metrics; pass a
+:class:`repro.obs.sink.RecordingSink` as ``sink=`` to record every message.
 """
 
 from repro.simmpi.datatypes import ANY_SOURCE, ANY_TAG, PROC_NULL, nbytes_of

@@ -28,7 +28,6 @@ from repro.errors import CommunicatorError, DeadlockError, SimulationError
 from repro.machine.hierarchy import LocalityLevel
 from repro.machine.process_map import ProcessMap
 from repro.netsim.simulator import Simulator
-from repro.netsim.trace import TraceRecorder
 from repro.obs.metrics import build_job_metrics
 from repro.obs.sink import EventSink
 from repro.simmpi.datatypes import PROC_NULL
@@ -243,8 +242,6 @@ class JobResult:
     phase_timings: list[dict[str, float]]
     #: Message/byte counts per locality level.
     traffic_by_level: dict[LocalityLevel, tuple[int, int]]
-    #: Optional full message trace (``None`` unless requested).
-    trace: TraceRecorder | None
     #: Per-node NIC accounting.
     nic_statistics: list[dict]
     #: Number of discrete events processed.
@@ -285,7 +282,6 @@ class SpmdEngine:
         self,
         pmap: ProcessMap,
         *,
-        record_trace: bool = False,
         sink: "EventSink | None" = None,
         max_events: int = 200_000_000,
         faults=None,
@@ -308,8 +304,7 @@ class SpmdEngine:
                 "(run with fold='off')"
             )
         self.timing = TimingModel(pmap, sink=sink, faults=self.faults)
-        self.trace = TraceRecorder() if record_trace else None
-        self.router = MessageRouter(self.timing, trace=self.trace, sink=sink)
+        self.router = MessageRouter(self.timing, sink=sink)
         self.contexts = ContextIdAllocator()
         self._processes: list[_RankProcess] = []
         self._rank_contexts: list[RankContext] = []
@@ -522,7 +517,7 @@ class SpmdEngine:
             multiplicity = pmap.multiplicity
             traffic = {
                 level: (counts[0] * multiplicity, counts[1] * multiplicity)
-                for level, counts in self.router.traffic.per_key.items()
+                for level, counts in self.router.traffic_by_level.items()
             }
             certificate = getattr(pmap, "certificate", None)
             fold_info = {
@@ -534,7 +529,7 @@ class SpmdEngine:
             }
         else:
             traffic = {
-                level: tuple(counts) for level, counts in self.router.traffic.per_key.items()
+                level: tuple(counts) for level, counts in self.router.traffic_by_level.items()
             }
         return JobResult(
             results=[ctx.result for ctx in self._rank_contexts],
@@ -542,7 +537,6 @@ class SpmdEngine:
             elapsed=max(finish_times) if finish_times else 0.0,
             phase_timings=[dict(ctx.timings) for ctx in self._rank_contexts],
             traffic_by_level=traffic,
-            trace=self.trace,
             nic_statistics=self.timing.nic_statistics(),
             events_processed=self.simulator.events_processed,
             fabric_statistics=self.timing.fabric_statistics(),
@@ -569,7 +563,6 @@ def run_spmd(
     pmap: ProcessMap,
     program: Callable[..., Any],
     *args: Any,
-    record_trace: bool = False,
     sink: EventSink | None = None,
     faults=None,
     **kwargs: Any,
@@ -578,5 +571,5 @@ def run_spmd(
 
     ``faults`` is an optional :class:`repro.faults.FaultSpec`.
     """
-    engine = SpmdEngine(pmap, record_trace=record_trace, sink=sink, faults=faults)
+    engine = SpmdEngine(pmap, sink=sink, faults=faults)
     return engine.run(program, *args, **kwargs)

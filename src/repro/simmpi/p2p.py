@@ -71,8 +71,7 @@ from repro.errors import MatchingError
 from repro.machine.hierarchy import LocalityLevel
 from repro.machine.params import MachineParameters
 from repro.machine.process_map import ProcessMap
-from repro.netsim.resources import SerialResource, ThroughputTracker
-from repro.netsim.trace import MessageRecord, TraceRecorder
+from repro.netsim.resources import SerialResource
 from repro.simmpi.datatypes import ANY_SOURCE, ANY_TAG
 from repro.simmpi.request import Request
 from repro.simmpi.status import Status
@@ -252,11 +251,11 @@ class _InboundSend:
 
     __slots__ = (
         "request", "src", "dst", "tag", "context_id", "nbytes", "payload",
-        "protocol", "ready_time", "sender_ready", "post_time", "level",
+        "protocol", "ready_time", "sender_ready", "level",
     )
 
     def __init__(self, request, src, dst, tag, context_id, nbytes, payload,
-                 protocol, ready_time, sender_ready, post_time, level):
+                 protocol, ready_time, sender_ready, level):
         self.request = request
         self.src = src
         self.dst = dst
@@ -273,7 +272,6 @@ class _InboundSend:
         self.ready_time = ready_time
         #: Rendezvous only: earliest time the sender can start the transfer.
         self.sender_ready = sender_ready
-        self.post_time = post_time
         self.level = level
 
 
@@ -561,21 +559,16 @@ def _matches(recv_source: int, recv_tag: int, recv_ctx: int, send: _InboundSend)
 class MessageRouter:
     """Owns every rank's matching queues and applies the timing model."""
 
-    def __init__(
-        self,
-        timing: TimingModel,
-        *,
-        trace: TraceRecorder | None = None,
-        traffic: ThroughputTracker | None = None,
-        sink=None,
-    ) -> None:
+    def __init__(self, timing: TimingModel, *, sink=None) -> None:
         self.timing = timing
         self.params = timing.params
-        self.trace = trace
         #: Optional :class:`repro.obs.sink.EventSink` receiving the matching
         #: lifecycle; ``None`` costs one pointer test per emission point.
         self.sink = sink
-        self.traffic = traffic if traffic is not None else ThroughputTracker(name="p2p")
+        #: Posted messages and bytes per locality level, as **mutable**
+        #: ``[messages, bytes]`` pairs so the steady state of a send is two
+        #: in-place increments; consumers normalise with ``tuple(counts)``.
+        self.traffic_by_level: dict[LocalityLevel, list[int]] = {}
         pmap = timing.pmap
         #: The folded process map when the job is symmetry-folded, ``None``
         #: otherwise.  The unfolded hot path pays exactly one pointer test.
@@ -638,15 +631,9 @@ class MessageRouter:
         level = self._level_of((src, dst))
         if level is None:
             level = timing.pmap.locality(src, dst)
-        # Inlined ThroughputTracker.record (one call per simulated message);
-        # the per-level counts are mutable pairs here so the steady state is
-        # two in-place increments, consumers normalise with tuple().
-        traffic = self.traffic
-        traffic.messages += 1
-        traffic.total_bytes += nbytes
-        counts = traffic.per_key.get(level)
+        counts = self.traffic_by_level.get(level)
         if counts is None:
-            traffic.per_key[level] = [1, nbytes]
+            self.traffic_by_level[level] = [1, nbytes]
         else:
             counts[0] += 1
             counts[1] += nbytes
@@ -739,14 +726,6 @@ class MessageRouter:
                         callback(recv_request)
                 if sink is not None:
                     sink.matched(src, dst, nbytes, tag, True, arrival, completion)
-                if self.trace is not None:
-                    self.trace.record(
-                        MessageRecord(
-                            source=src, dest=dst, nbytes=nbytes, level=level,
-                            tag=tag, context_id=context_id, post_time=ready_time,
-                            arrival_time=arrival, completion_time=completion,
-                        )
-                    )
                 return request
             # The message has to wait for a future receive; snapshot the
             # payload so the sender may reuse its buffer (buffered-send
@@ -755,7 +734,7 @@ class MessageRouter:
             unexpected.append(key, _InboundSend(
                 request, src, dst, tag, context_id, nbytes,
                 np.array(payload.reshape(-1), copy=True),
-                "eager", arrival, ready_time, ready_time, level,
+                "eager", arrival, ready_time, level,
             ))
             self.unexpected_parked += 1
             depth = len(unexpected._live)
@@ -770,7 +749,7 @@ class MessageRouter:
         rts_arrival = ready_time + self._half_rendezvous + timing.control_latency(level)
         inbound = _InboundSend(
             request, src, dst, tag, context_id, nbytes, payload,
-            "rndv", rts_arrival, ready_time, ready_time, level,
+            "rndv", rts_arrival, ready_time, level,
         )
         found = self._match_posted(mailbox, key, context_id, src, tag)
         if found is not None:
@@ -821,12 +800,9 @@ class MessageRouter:
         nbytes = payload.nbytes
         # Phantom destinations are on other nodes by construction.
         level = LocalityLevel.NETWORK
-        traffic = self.traffic
-        traffic.messages += 1
-        traffic.total_bytes += nbytes
-        counts = traffic.per_key.get(level)
+        counts = self.traffic_by_level.get(level)
         if counts is None:
-            traffic.per_key[level] = [1, nbytes]
+            self.traffic_by_level[level] = [1, nbytes]
         else:
             counts[0] += 1
             counts[1] += nbytes
@@ -906,21 +882,12 @@ class MessageRouter:
                 if sink is not None:
                     sink.matched(mirror_src, mirror_dst, nbytes, tag, True,
                                  arrival, completion)
-                if self.trace is not None:
-                    self.trace.record(
-                        MessageRecord(
-                            source=mirror_src, dest=mirror_dst, nbytes=nbytes,
-                            level=level, tag=tag, context_id=context_id,
-                            post_time=ready_time, arrival_time=arrival,
-                            completion_time=completion,
-                        )
-                    )
                 return request
             unexpected = mailbox.unexpected
             unexpected.append(key, _InboundSend(
                 request, mirror_src, mirror_dst, tag, context_id, nbytes,
                 np.array(payload.reshape(-1), copy=True),
-                "eager", arrival, ready_time, ready_time, level,
+                "eager", arrival, ready_time, level,
             ))
             self.unexpected_parked += 1
             depth = len(unexpected._live)
@@ -937,7 +904,7 @@ class MessageRouter:
         rts_arrival = ready_time + self._half_rendezvous + self._net_latency
         inbound = _InboundSend(
             request, mirror_src, mirror_dst, tag, context_id, nbytes, payload,
-            "rndv", rts_arrival, ready_time, ready_time, level,
+            "rndv", rts_arrival, ready_time, level,
         )
         found = self._match_posted(mailbox, key, context_id, mirror_src, tag)
         if found is not None:
@@ -1081,15 +1048,6 @@ class MessageRouter:
         if sink is not None:
             sink.matched(inbound.src, inbound.dst, inbound.nbytes, inbound.tag,
                          fast_path, arrival, completion)
-        if self.trace is not None:
-            self.trace.record(
-                MessageRecord(
-                    source=inbound.src, dest=inbound.dst, nbytes=inbound.nbytes,
-                    level=inbound.level, tag=inbound.tag, context_id=inbound.context_id,
-                    post_time=inbound.post_time, arrival_time=arrival,
-                    completion_time=completion,
-                )
-            )
 
     # -- diagnostics -----------------------------------------------------------
     def pending_summary(self, max_per_rank: int = 8) -> list[str]:

@@ -21,6 +21,7 @@ __all__ = [
     "as_block_view",
     "split_blocks",
     "concat_blocks",
+    "tagged_blocks",
     "make_alltoall_sendbuf",
     "displacements_from_counts",
     "check_v_counts",
@@ -132,28 +133,46 @@ def check_counts_matrix(counts, nprocs: int | None = None, *, name: str = "count
     return arr
 
 
+def tagged_blocks(tags, items, dtype=np.int64) -> np.ndarray:
+    """The all-to-all test pattern: one block per tag, ``tag * 1000 + arange(n)``.
+
+    The single definition behind every send buffer, expected receive buffer
+    and validator: block ``i`` holds ``items`` (a scalar, uniform blocks) or
+    ``items[i]`` (a per-tag vector, packed v-form blocks) values counting up
+    from ``tags[i] * 1000``.  Callers tag the block source ``s`` sends to
+    destination ``d`` with ``s * nprocs + d``, which makes every (source,
+    destination, offset) triple identifiable.  Values are computed in
+    ``int64`` and wrapped into ``dtype`` on store (the C cast of ``astype``)
+    so small integer dtypes such as ``uint8`` payloads stay valid patterns;
+    no full-size ``int64`` grid is materialised for uniform blocks.
+    """
+    bases = np.asarray(tags, dtype=np.int64) * 1000
+    if np.ndim(items) == 0:
+        items = int(items)
+        if items < 0:
+            raise BufferSizeError("block_items must be non-negative")
+        out = np.empty(bases.size * items, dtype=dtype)
+        np.add(bases[:, None], np.arange(items, dtype=np.int64)[None, :],
+               out=out.reshape(bases.size, items), casting="unsafe")
+        return out
+    counts = np.asarray(items, dtype=np.int64)
+    total = int(counts.sum())
+    out = np.empty(total, dtype=dtype)
+    # Block i covers [start_i, start_i + n_i) of the global ramp, so shifting
+    # each block's base by -start_i turns one arange into every local ramp.
+    shifted = np.repeat(bases - displacements_from_counts(counts), counts)
+    np.add(shifted, np.arange(total, dtype=np.int64), out=out, casting="unsafe")
+    return out
+
+
 def make_alltoall_sendbuf(rank: int, nprocs: int, block_items: int, dtype=np.int64) -> np.ndarray:
     """Build a deterministic all-to-all send buffer for testing and examples.
 
-    Block ``d`` (destined for rank ``d``) of rank ``rank`` is filled with the
-    values ``rank * nprocs + d`` followed by an arithmetic ramp, making every
-    (source, destination, offset) triple uniquely identifiable.  The matching
-    expected receive buffer can be produced with the same function by swapping
-    the roles of source and destination (see
-    :func:`repro.core.validation.expected_alltoall_result`).
+    Block ``d`` (destined for rank ``d``) of rank ``rank`` is the
+    :func:`tagged_blocks` block tagged ``rank * nprocs + d``.  The expected
+    receive buffers (:mod:`repro.core.validation`) are built by the same
+    function with the roles of source and destination swapped.
     """
     if block_items < 0:
         raise ValueError("block_items must be non-negative")
-    buf = np.empty(nprocs * block_items, dtype=dtype)
-    if block_items:
-        # Compute in int64 and wrap into the target dtype so small integer
-        # dtypes (e.g. uint8 payload buffers) stay valid test patterns.  One
-        # vectorised outer sum replaces the former per-destination loop (the
-        # buffer build is part of every simulated job's setup cost).
-        bases = (rank * nprocs + np.arange(nprocs, dtype=np.int64)) * 1000
-        ramp = np.arange(block_items, dtype=np.int64)
-        # One ufunc pass, casting each int64 sum into the target dtype on
-        # store (same C cast as astype) without materialising the int64 grid.
-        np.add(bases[:, None], ramp[None, :],
-               out=buf.reshape(nprocs, block_items), casting="unsafe")
-    return buf
+    return tagged_blocks(rank * nprocs + np.arange(nprocs, dtype=np.int64), block_items, dtype)

@@ -46,6 +46,16 @@ class TestPhasedJob:
         with pytest.raises(ConfigurationError):
             PhasedJob.make(_workload(4), [42, 43], 2)
 
+    def test_tuple_of_names_is_one_name_per_phase(self):
+        job = PhasedJob.make(_workload(4), ("pairwise", "nonblocking"), 2)
+        assert job.algorithms == (("pairwise", ()), ("nonblocking", ()))
+        assert job == PhasedJob.make(_workload(4), ["pairwise", "nonblocking"], 2)
+
+    @pytest.mark.parametrize("algorithms", [("pairwise", 5), [("pairwise", 5)] * 2])
+    def test_rejects_options_that_are_not_a_mapping(self, algorithms):
+        with pytest.raises(ConfigurationError, match="options of phase algorithm 'pairwise'"):
+            PhasedJob.make(_workload(4), algorithms, 2)
+
     def test_describe_assignment_names_phases(self):
         job = PhasedJob.make(_workload(4), ["pairwise", "nonblocking"], 2)
         assert job.describe_assignment() == "dispatch=pairwise; combine=nonblocking"

@@ -6,8 +6,16 @@ import pytest
 from repro.core.instrumentation import PHASE_GATHER, PHASE_INTER, PhaseRecorder
 from repro.core.validation import (
     alltoall_reference,
+    alltoallv_reference,
     expected_alltoall_result,
+    expected_folded_alltoall_result,
+    expected_folded_workload_result,
+    expected_workload_result,
+    make_workload_sendbuf,
     validate_alltoall_results,
+    validate_folded_alltoall_results,
+    validate_folded_workload_results,
+    validate_workload_results,
 )
 from repro.errors import AlgorithmError, BufferSizeError
 from repro.machine import ProcessMap, tiny_cluster
@@ -39,6 +47,59 @@ class TestExpectedResult:
         with pytest.raises(BufferSizeError):
             expected_alltoall_result(0, 4, -1)
 
+    def test_uniform_literal(self):
+        # Block s of rank 1 is what source s tagged for rank 1: s * 3 + 1.
+        assert expected_alltoall_result(1, 3, 2).tolist() == [1000, 1001, 4000, 4001, 7000, 7001]
+
+    def test_folded_uniform_literal(self):
+        # 6 ranks, 2 per node: source s carries the tag of source s % 2 for
+        # the node-rotated destination (1 - (s // 2) * 2) % 6.
+        assert expected_folded_alltoall_result(1, 6, 2, 2).tolist() == [
+            1000, 1001, 7000, 7001, 5000, 5001, 11000, 11001, 3000, 3001, 9000, 9001,
+        ]
+
+    def test_uint8_literal_wrap_around(self):
+        # 2000 % 256 = 208, 1000 % 256 = 232 and 3000 % 256 = 184.
+        assert expected_alltoall_result(0, 2, 2, dtype=np.uint8).tolist() == [0, 1, 208, 209]
+        assert expected_alltoall_result(1, 2, 2, dtype=np.uint8).tolist() == [232, 233, 184, 185]
+
+
+#: A 3-rank count matrix with an empty row (rank 1 sends nothing to 0 and 2's
+#: column holds a zero): counts[s, d] items flow from s to d.
+_COUNTS = np.array([[1, 0, 2],
+                    [0, 3, 1],
+                    [2, 1, 0]])
+
+
+class TestWorkloadPattern:
+    def test_sendbuf_literal(self):
+        # Rank 1 tags its block for destination d with 1 * 3 + d.
+        assert make_workload_sendbuf(1, _COUNTS).tolist() == [4000, 4001, 4002, 5000]
+        assert make_workload_sendbuf(2, _COUNTS).tolist() == [6000, 6001, 7000]
+
+    def test_expected_literal(self):
+        # Block s of rank r is tagged s * 3 + r and holds counts[s, r] items.
+        assert expected_workload_result(0, _COUNTS).tolist() == [0, 6000, 6001]
+        assert expected_workload_result(1, _COUNTS).tolist() == [4000, 4001, 4002, 7000]
+        assert expected_workload_result(2, _COUNTS).tolist() == [2000, 2001, 5000]
+
+    def test_folded_expected_literal(self):
+        # 6 ranks, 2 per node, rotation-invariant counts[s, d] = 1 + (d - s) % 2.
+        counts = np.fromfunction(lambda s, d: 1 + (d - s) % 2, (6, 6), dtype=np.int64)
+        assert expected_folded_workload_result(1, counts, 2).tolist() == [
+            1000, 1001, 7000, 5000, 5001, 11000, 3000, 3001, 9000,
+        ]
+
+    def test_uint8_literal_wrap_around(self):
+        assert expected_workload_result(1, _COUNTS, dtype=np.uint8).tolist() == [
+            160, 161, 162, 88,
+        ]
+
+    def test_expected_matches_transposed_sendbufs(self):
+        sendbufs = [make_workload_sendbuf(r, _COUNTS) for r in range(3)]
+        for rank, buf in enumerate(alltoallv_reference(sendbufs, _COUNTS)):
+            assert np.array_equal(buf, expected_workload_result(rank, _COUNTS))
+
 
 class TestAlltoallReference:
     def test_transposition(self):
@@ -65,34 +126,63 @@ class TestAlltoallReference:
             alltoall_reference([np.zeros(5), np.zeros(5)])
 
 
+#: Rotation-invariant counts for 3 nodes x 4 ranks, every block non-empty.
+_FOLDABLE_COUNTS = np.fromfunction(lambda s, d: 1 + (d - s) % 12 % 3, (12, 12), dtype=np.int64)
+
+#: name -> (validator over a list of buffers, expected buffer of rank r, buffer count).
+_VALIDATORS = {
+    "uniform": (
+        lambda res: validate_alltoall_results(res, 6, 2),
+        lambda r: expected_alltoall_result(r, 6, 2), 6,
+    ),
+    "folded": (
+        lambda res: validate_folded_alltoall_results(res, 12, 4, 2),
+        lambda r: expected_folded_alltoall_result(r, 12, 4, 2), 4,
+    ),
+    "workload": (
+        lambda res: validate_workload_results(res, _FOLDABLE_COUNTS),
+        lambda r: expected_workload_result(r, _FOLDABLE_COUNTS), 12,
+    ),
+    "folded-workload": (
+        lambda res: validate_folded_workload_results(res, _FOLDABLE_COUNTS, 4),
+        lambda r: expected_folded_workload_result(r, _FOLDABLE_COUNTS, 4), 4,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_VALIDATORS))
 class TestValidateResults:
-    def test_accepts_correct_results(self):
-        nprocs, block = 6, 2
-        results = [expected_alltoall_result(r, nprocs, block) for r in range(nprocs)]
-        assert validate_alltoall_results(results, nprocs, block)
+    @staticmethod
+    def _job(kind):
+        validate, expected, nbuffers = _VALIDATORS[kind]
+        return validate, [expected(r) for r in range(nbuffers)]
 
-    def test_rejects_corrupted_value(self):
-        nprocs, block = 6, 2
-        results = [expected_alltoall_result(r, nprocs, block) for r in range(nprocs)]
-        results[3][4] += 1
-        assert not validate_alltoall_results(results, nprocs, block)
+    def test_accepts_correct_results(self, kind):
+        validate, results = self._job(kind)
+        assert validate(results) is True
+        # The expected pattern is built in each buffer's own dtype.
+        assert validate([buf.astype(np.uint8) for buf in results]) is True
 
-    def test_rejects_missing_rank(self):
-        nprocs, block = 4, 2
-        results = [expected_alltoall_result(r, nprocs, block) for r in range(nprocs)]
+    def test_rejects_corrupted_value(self, kind):
+        validate, results = self._job(kind)
+        results[-1][-1] += 1
+        assert not validate(results)
+
+    def test_rejects_missing_rank(self, kind):
+        validate, results = self._job(kind)
         results[1] = None
-        assert not validate_alltoall_results(results, nprocs, block)
+        assert not validate(results)
 
-    def test_wrong_count_rejected(self):
+    def test_wrong_count_rejected(self, kind):
+        validate, results = self._job(kind)
         with pytest.raises(BufferSizeError):
-            validate_alltoall_results([np.zeros(4)], 2, 2)
+            validate(results[:-1])
 
-    def test_wrong_size_rejected(self):
-        nprocs, block = 4, 2
-        results = [expected_alltoall_result(r, nprocs, block) for r in range(nprocs)]
-        results[0] = np.zeros(3)
+    def test_wrong_size_rejected(self, kind):
+        validate, results = self._job(kind)
+        results[0] = np.zeros(results[0].size + 1, dtype=results[0].dtype)
         with pytest.raises(BufferSizeError):
-            validate_alltoall_results(results, nprocs, block)
+            validate(results)
 
 
 class TestPhaseRecorder:

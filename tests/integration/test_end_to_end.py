@@ -14,6 +14,7 @@ from repro.core import run_alltoall
 from repro.core.selection import AlgorithmSelector, SelectionTable, default_candidates
 from repro.machine import ProcessMap, get_system
 from repro.model.predict import predict_time
+from repro.obs.sink import RecordingSink
 
 
 class TestFullWorkflow:
@@ -22,14 +23,15 @@ class TestFullWorkflow:
         cluster = get_system("dane", 4)
         return ProcessMap(cluster, ppn=8, num_nodes=4)
 
-    def test_simulate_validate_and_model_one_exchange(self, pmap):
+    def test_simulate_validate_and_model_one_exchange(self, pmap, check_sink_messages):
+        sink = RecordingSink()
         outcome = run_alltoall(
-            "multileader-node-aware", pmap, msg_bytes=256, procs_per_leader=4, record_trace=True
+            "multileader-node-aware", pmap, msg_bytes=256, procs_per_leader=4, sink=sink
         )
         assert outcome.correct
-        # The trace, traffic counters and phase breakdown must be mutually consistent.
-        assert outcome.job.trace.message_count(inter_node=True) == outcome.inter_node_messages
-        assert outcome.job.trace.byte_count(inter_node=True) == outcome.inter_node_bytes
+        # The per-message events, traffic counters and phase breakdown must
+        # be mutually consistent.
+        check_sink_messages(sink, pmap, outcome)
         # Every instrumented phase fits within the total exchange duration.
         assert all(v <= outcome.elapsed for v in outcome.phase_times.values())
         # The analytic model for the same configuration is within an order of magnitude.

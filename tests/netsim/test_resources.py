@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.netsim.resources import SerialResource, ThroughputTracker
+from repro.netsim.resources import SerialResource
 
 
 class TestSerialResource:
@@ -52,41 +52,3 @@ class TestSerialResource:
             nic.reserve(0.0, -1.0)
         with pytest.raises(SimulationError):
             nic.reserve(-1.0, 1.0)
-
-
-class TestThroughputTracker:
-    def test_record_accumulates(self):
-        tracker = ThroughputTracker()
-        tracker.record(100)
-        tracker.record(50)
-        assert tracker.messages == 2
-        assert tracker.total_bytes == 150
-
-    def test_per_key_accounting(self):
-        tracker = ThroughputTracker()
-        tracker.record(10, key="a")
-        tracker.record(20, key="a")
-        tracker.record(5, key="b")
-        assert tuple(tracker.per_key["a"]) == (2, 30)
-        assert tuple(tracker.per_key["b"]) == (1, 5)
-
-    def test_merge(self):
-        a = ThroughputTracker()
-        b = ThroughputTracker()
-        a.record(10, key="x")
-        b.record(20, key="x")
-        b.record(1, key="y")
-        a.merge(b)
-        assert a.messages == 3
-        assert tuple(a.per_key["x"]) == (2, 30)
-        assert tuple(a.per_key["y"]) == (1, 1)
-
-    def test_negative_bytes_rejected(self):
-        with pytest.raises(SimulationError):
-            ThroughputTracker().record(-1)
-
-    def test_as_dict(self):
-        tracker = ThroughputTracker(name="traffic")
-        tracker.record(8, key="k")
-        d = tracker.as_dict()
-        assert d["name"] == "traffic" and d["messages"] == 1 and d["bytes"] == 8

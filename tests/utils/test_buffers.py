@@ -11,6 +11,7 @@ from repro.utils.buffers import (
     concat_blocks,
     make_alltoall_sendbuf,
     split_blocks,
+    tagged_blocks,
 )
 
 
@@ -96,6 +97,32 @@ class TestSplitConcat:
             concat_blocks([])
 
 
+class TestTaggedBlocks:
+    def test_uniform_blocks_literal(self):
+        assert tagged_blocks([2, 0, 7], 2).tolist() == [2000, 2001, 0, 1, 7000, 7001]
+
+    def test_variable_blocks_literal(self):
+        out = tagged_blocks([4, 1, 3, 9], [2, 0, 3, 1])
+        assert out.tolist() == [4000, 4001, 3000, 3001, 3002, 9000]
+
+    def test_uint8_wraps_around(self):
+        # 2000 = 7 * 256 + 208 and 3000 = 11 * 256 + 184.
+        out = tagged_blocks([2, 3], 3, np.uint8)
+        assert out.dtype == np.uint8
+        assert out.tolist() == [208, 209, 210, 184, 185, 186]
+        assert tagged_blocks([2, 3], [1, 2], np.uint8).tolist() == [208, 184, 185]
+
+    def test_empty_blocks_and_tags(self):
+        assert tagged_blocks([5, 6], 0).size == 0
+        assert tagged_blocks([5, 6], [0, 0]).size == 0
+        assert tagged_blocks([], 4).size == 0
+        assert tagged_blocks([], []).size == 0
+
+    def test_negative_items_rejected(self):
+        with pytest.raises(BufferSizeError):
+            tagged_blocks([0], -1)
+
+
 class TestMakeAlltoallSendbuf:
     def test_shape_and_dtype(self):
         buf = make_alltoall_sendbuf(2, 4, 3)
@@ -111,6 +138,15 @@ class TestMakeAlltoallSendbuf:
         a = make_alltoall_sendbuf(0, 4, 2)
         b = make_alltoall_sendbuf(1, 4, 2)
         assert not np.array_equal(a, b)
+
+    def test_literal_pattern(self):
+        # Rank 1 of 3 tags its block for destination d with 1 * 3 + d.
+        assert make_alltoall_sendbuf(1, 3, 2).tolist() == [3000, 3001, 4000, 4001, 5000, 5001]
+
+    def test_uint8_literal_wrap_around(self):
+        assert make_alltoall_sendbuf(1, 2, 3, dtype=np.uint8).tolist() == [
+            208, 209, 210, 184, 185, 186,
+        ]
 
     def test_uint8_wraps_without_error(self):
         buf = make_alltoall_sendbuf(100, 64, 8, dtype=np.uint8)
