@@ -128,7 +128,8 @@ CANONICAL_JOBS: tuple[MicroJob, ...] = (
     _uniform("nonblocking/32n8p/256B", "nonblocking", 32, 8),
     _workload("workload-pairwise/8n8p/skewed-moe", "pairwise", 8, 8, "skewed-moe",
               quick=True),
-    _workload("workload-node-aware/8n8p/skewed-moe", "node-aware", 8, 8, "skewed-moe"),
+    _workload("workload-node-aware/8n8p/skewed-moe", "node-aware", 8, 8, "skewed-moe",
+              quick=True),
     # Symmetry-folded points.  The 64n8p pair shares its shape with the
     # unfolded pairwise/64n8p headline job, so their ratio is the measured
     # fold speedup at a shape the full engine can still run; the two

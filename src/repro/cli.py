@@ -54,7 +54,7 @@ from repro.bench.reporting import (
     to_csv,
 )
 from repro.bench.harness import BenchmarkHarness
-from repro.core.alltoall.valgorithms import list_v_algorithms
+from repro.core.alltoall.registry import list_v_algorithms
 from repro.core.runner import run_alltoall, run_workload
 from repro.core.selection import AlgorithmSelector, build_selection_table
 from repro.errors import ConfigurationError
@@ -709,6 +709,18 @@ def _workload_matrix(args: argparse.Namespace, nprocs: int):
     return make_pattern(args.pattern, nprocs, args.msg_bytes, **pattern_options)
 
 
+def _workload_options(args: argparse.Namespace) -> dict:
+    """Algorithm options of the workload subcommand (``--inner``, ``--group-size``)."""
+    options: dict = {}
+    if args.inner is not None:
+        options["inner"] = args.inner
+    if args.group_size is not None:
+        if args.algorithm != "node-aware":
+            raise SystemExit(f"--group-size is not applicable to algorithm {args.algorithm!r}")
+        options["procs_per_group"] = args.group_size
+    return options
+
+
 def _cmd_workload_phased(args: argparse.Namespace, pmap: ProcessMap, workload) -> int:
     """The --phases path of the workload subcommand: one phased job, simulated."""
     from repro.core.runner import run_phased_workload
@@ -723,13 +735,7 @@ def _cmd_workload_phased(args: argparse.Namespace, pmap: ProcessMap, workload) -
             "--phases does not support symmetry folding (the phases share "
             "one engine timeline)"
         )
-    options: dict = {}
-    if args.inner is not None:
-        options["inner"] = args.inner
-    if args.group_size is not None:
-        if args.algorithm != "node-aware":
-            raise SystemExit(f"--group-size is not applicable to algorithm {args.algorithm!r}")
-        options["procs_per_group"] = args.group_size
+    options = _workload_options(args)
     algorithms = (args.algorithm, tuple(sorted(options.items()))) if options \
         else args.algorithm
 
@@ -762,13 +768,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
             f"{args.ppn} ppn gives {pmap.nprocs}"
         )
 
-    options: dict = {}
-    if args.inner is not None:
-        options["inner"] = args.inner
-    if args.group_size is not None:
-        if args.algorithm != "node-aware":
-            raise SystemExit(f"--group-size is not applicable to algorithm {args.algorithm!r}")
-        options["procs_per_group"] = args.group_size
+    options = _workload_options(args)
 
     print(f"Workload: {matrix.describe()}")
     print(f"Machine:  {pmap.describe()}")
@@ -883,40 +883,32 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     faults = _faults_from_args(args)
     phased = _phases_from_args(args)
     sink = RecordingSink()
+    options: dict = {}
+    if phased is not None or args.pattern is not None:
+        if args.algorithm not in list_v_algorithms():
+            flag = "--phases" if phased is not None else "--pattern"
+            raise SystemExit(
+                f"{flag} needs a v-algorithm ({', '.join(list_v_algorithms())}), "
+                f"got {args.algorithm!r}"
+            )
+        if args.inner is not None:
+            options["inner"] = args.inner
+        if args.group_size is not None:
+            options["procs_per_group"] = args.group_size
     try:
         if phased is not None:
             from repro.core.runner import run_phased_workload
 
-            if args.algorithm not in list_v_algorithms():
-                raise SystemExit(
-                    f"--phases needs a v-algorithm ({', '.join(list_v_algorithms())}), "
-                    f"got {args.algorithm!r}"
-                )
             if phased.nprocs != pmap.nprocs:
                 raise SystemExit(
                     f"phased workload describes {phased.nprocs} ranks but "
                     f"{args.nodes} nodes x {args.ppn} ppn gives {pmap.nprocs}"
                 )
-            options = {}
-            if args.inner is not None:
-                options["inner"] = args.inner
-            if args.group_size is not None:
-                options["procs_per_group"] = args.group_size
             algorithms = (args.algorithm, tuple(sorted(options.items()))) \
                 if options else args.algorithm
             outcome = run_phased_workload(algorithms, pmap, phased, sink=sink,
                                           faults=faults)
         elif args.pattern is not None:
-            if args.algorithm not in list_v_algorithms():
-                raise SystemExit(
-                    f"--pattern needs a v-algorithm ({', '.join(list_v_algorithms())}), "
-                    f"got {args.algorithm!r}"
-                )
-            options: dict = {}
-            if args.inner is not None:
-                options["inner"] = args.inner
-            if args.group_size is not None:
-                options["procs_per_group"] = args.group_size
             pattern_options = {"seed": args.seed} if args.pattern in _SEEDED_PATTERNS else {}
             matrix = make_pattern(args.pattern, pmap.nprocs, args.msg_bytes, **pattern_options)
             outcome = run_workload(args.algorithm, pmap, matrix, sink=sink,

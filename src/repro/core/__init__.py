@@ -17,7 +17,6 @@ from repro.core.alltoall import (
     INNER_EXCHANGES,
     V_ALGORITHM_NAMES,
     AlltoallAlgorithm,
-    AlltoallvAlgorithm,
     get_algorithm,
     get_v_algorithm,
     list_algorithms,
@@ -55,7 +54,6 @@ __all__ = [
     "INNER_EXCHANGES",
     "V_ALGORITHM_NAMES",
     "AlltoallAlgorithm",
-    "AlltoallvAlgorithm",
     "get_algorithm",
     "get_v_algorithm",
     "list_algorithms",

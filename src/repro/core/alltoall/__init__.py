@@ -18,20 +18,20 @@ Locality-exploiting algorithms (Section 3):
 * :class:`~repro.core.alltoall.multileader_node_aware.MultiLeaderNodeAwareAlltoall`
   — Algorithm 5, the paper's second novel algorithm.
 
-Variable-count (``alltoallv``) members, driven by a
-:class:`~repro.workloads.TrafficMatrix` (see :mod:`repro.workloads`):
-
-* :class:`~repro.core.alltoall.valgorithms.PairwiseAlltoallv` /
-  :class:`~repro.core.alltoall.valgorithms.NonblockingAlltoallv` — flat
-  schedules with per-peer counts;
-* :class:`~repro.core.alltoall.valgorithms.NodeAwareAlltoallv` — Algorithm 4
-  generalised to non-uniform traffic (node-aware and locality-aware).
+One family serves both traffic kinds.  Members with
+``variable_counts`` — pairwise, non-blocking and node-/locality-aware —
+also run a per-pair count matrix (``alltoallv`` traffic, driven by a
+:class:`~repro.workloads.TrafficMatrix`, see :mod:`repro.workloads`) through
+the same implementation: ``run(ctx, sendbuf, recvbuf, counts)`` with packed
+buffers.  :data:`~repro.core.alltoall.registry.V_ALGORITHM_NAMES` names the
+ones the workload tools run by name; the others are uniform-only and their
+``validate`` rejects a count matrix.
 """
 
 from repro.core.alltoall.base import AlltoallAlgorithm, check_alltoall_buffers
 from repro.core.alltoall.batched import BatchedAlltoall, exchange_batched
 from repro.core.alltoall.bruck import BruckAlltoall, exchange_bruck
-from repro.core.alltoall.exchanges import INNER_EXCHANGES, get_inner_exchange
+from repro.core.alltoall.exchanges import COUNT_EXCHANGES, INNER_EXCHANGES, get_inner_exchange
 from repro.core.alltoall.hierarchical import (
     HierarchicalAlltoall,
     MultiLeaderAlltoall,
@@ -51,27 +51,13 @@ from repro.core.alltoall.pairwise import PairwiseAlltoall, exchange_pairwise
 from repro.core.alltoall.registry import (
     ALGORITHM_NAMES,
     ALGORITHMS,
+    V_ALGORITHM_NAMES,
     get_algorithm,
+    get_v_algorithm,
     list_algorithms,
+    list_v_algorithms,
 )
 from repro.core.alltoall.system_mpi import SystemMPIAlltoall
-from repro.core.alltoall.valgorithms import (
-    V_ALGORITHM_NAMES,
-    V_ALGORITHMS,
-    AlltoallvAlgorithm,
-    NodeAwareAlltoallv,
-    NonblockingAlltoallv,
-    PairwiseAlltoallv,
-    get_v_algorithm,
-    list_v_algorithms,
-    node_aware_alltoallv,
-)
-from repro.core.alltoall.vexchange import (
-    V_EXCHANGES,
-    exchange_nonblocking_v,
-    exchange_pairwise_v,
-    get_v_exchange,
-)
 
 __all__ = [
     "AlltoallAlgorithm",
@@ -94,21 +80,12 @@ __all__ = [
     "multileader_node_aware_alltoall",
     "node_aware_alltoall",
     "INNER_EXCHANGES",
+    "COUNT_EXCHANGES",
     "get_inner_exchange",
     "ALGORITHMS",
     "ALGORITHM_NAMES",
     "get_algorithm",
     "list_algorithms",
-    "AlltoallvAlgorithm",
-    "PairwiseAlltoallv",
-    "NonblockingAlltoallv",
-    "NodeAwareAlltoallv",
-    "node_aware_alltoallv",
-    "exchange_pairwise_v",
-    "exchange_nonblocking_v",
-    "V_EXCHANGES",
-    "get_v_exchange",
-    "V_ALGORITHMS",
     "V_ALGORITHM_NAMES",
     "get_v_algorithm",
     "list_v_algorithms",

@@ -5,7 +5,8 @@ on sub-communicators; the paper evaluates every algorithm with both a
 pairwise-exchange and a non-blocking implementation of those inner calls
 (solid vs. dashed lines in its figures).  This module maps the exchange
 names to the generator functions so the hierarchical algorithms can be
-configured with a string.
+configured with a string.  The pairwise and non-blocking kernels also take
+per-peer counts (``alltoallv``), so they alone can carry a count matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.core.alltoall.nonblocking import exchange_nonblocking
 from repro.core.alltoall.pairwise import exchange_pairwise
 from repro.errors import ConfigurationError
 
-__all__ = ["INNER_EXCHANGES", "get_inner_exchange"]
+__all__ = ["INNER_EXCHANGES", "COUNT_EXCHANGES", "get_inner_exchange"]
 
 #: name -> generator function ``f(comm, sendbuf, recvbuf)``.
 INNER_EXCHANGES: dict[str, Callable] = {
@@ -28,6 +29,9 @@ INNER_EXCHANGES: dict[str, Callable] = {
     "bruck": exchange_bruck,
     "batched": exchange_batched,
 }
+
+#: Inner exchanges that also take ``sendcounts, recvcounts`` (packed blocks).
+COUNT_EXCHANGES: tuple[str, ...] = ("pairwise", "nonblocking")
 
 
 def get_inner_exchange(name: str, **options) -> Callable:

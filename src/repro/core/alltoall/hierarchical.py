@@ -118,7 +118,8 @@ class HierarchicalAlltoall(AlltoallAlgorithm):
         self.inner = inner
         get_inner_exchange(inner)  # fail fast on unknown names
 
-    def validate(self, pmap: ProcessMap) -> None:
+    def validate(self, pmap: ProcessMap, counts: np.ndarray | None = None) -> None:
+        super().validate(pmap, counts)
         ppl = pmap.ppn if self.procs_per_leader is None else self.procs_per_leader
         validate_group_size(pmap.ppn, ppl)
 

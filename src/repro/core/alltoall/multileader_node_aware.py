@@ -134,7 +134,8 @@ class MultiLeaderNodeAwareAlltoall(AlltoallAlgorithm):
         self.inner = inner
         get_inner_exchange(inner)
 
-    def validate(self, pmap: ProcessMap) -> None:
+    def validate(self, pmap: ProcessMap, counts: np.ndarray | None = None) -> None:
+        super().validate(pmap, counts)
         validate_group_size(pmap.ppn, self.procs_per_leader)
 
     def options(self):

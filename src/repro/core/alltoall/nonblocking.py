@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.alltoall.base import AlltoallAlgorithm, check_alltoall_buffers
+from repro.core.alltoall.base import AlltoallAlgorithm, peer_blocks, rank_counts
 from repro.simmpi.comm import Communicator
 from repro.simmpi.engine import RankContext
 from repro.simmpi.ops import LocalCopy, PostRecv, PostSend, Wait
@@ -21,18 +21,20 @@ __all__ = ["exchange_nonblocking", "NonblockingAlltoall"]
 _TAG = 102
 
 
-def exchange_nonblocking(comm: Communicator, sendbuf: np.ndarray, recvbuf: np.ndarray):
+def exchange_nonblocking(comm: Communicator, sendbuf: np.ndarray, recvbuf: np.ndarray,
+                         sendcounts=None, recvcounts=None):
     """Post-all-then-wait exchange over ``comm`` (generator; also used as an inner exchange).
 
-    Like :func:`~repro.core.alltoall.pairwise.exchange_pairwise`, the body
-    yields the primitive operations directly — same operation sequence as
-    the former ``irecv``/``isend``/``waitall`` calls, one generator frame
-    and one per-step validation less.
+    Takes uniform or packed per-peer blocks exactly like
+    :func:`~repro.core.alltoall.pairwise.exchange_pairwise`, and likewise
+    posts nothing for an empty block — so a sparse count matrix pays the
+    matching cost only of the messages it actually contains.  The body
+    yields the primitive operations directly: same operation sequence as
+    ``irecv``/``isend``/``waitall`` calls, one generator frame and one
+    per-step validation less.
     """
     size, rank = comm.size, comm.rank
-    block = check_alltoall_buffers(sendbuf, recvbuf, size)
-    send_view = sendbuf.reshape(size, block) if block else sendbuf.reshape(size, 0)
-    recv_view = recvbuf.reshape(size, block) if block else recvbuf.reshape(size, 0)
+    send_blocks, recv_blocks = peer_blocks(comm, sendbuf, recvbuf, sendcounts, recvcounts)
 
     world = comm.group.world_ranks
     context_id = comm.context_id
@@ -45,16 +47,21 @@ def exchange_nonblocking(comm: Communicator, sendbuf: np.ndarray, recvbuf: np.nd
     recv_op = PostRecv(0, recvbuf, _TAG, context_id)
     for step in range(1, size):
         source = (rank - step) % size
-        recv_op.source = world[source]
-        recv_op.buffer = recv_view[source]
-        requests.append((yield recv_op))
+        block = recv_blocks[source]
+        if block.size:
+            recv_op.source = world[source]
+            recv_op.buffer = block
+            requests.append((yield recv_op))
     send_op = PostSend(0, sendbuf, _TAG, context_id)
     for step in range(1, size):
         dest = (rank + step) % size
-        send_op.dest = world[dest]
-        send_op.payload = send_view[dest]
-        requests.append((yield send_op))
-    yield LocalCopy(dest=recv_view[rank], source=send_view[rank])
+        block = send_blocks[dest]
+        if block.size:
+            send_op.dest = world[dest]
+            send_op.payload = block
+            requests.append((yield send_op))
+    if send_blocks[rank].size:
+        yield LocalCopy(dest=recv_blocks[rank], source=send_blocks[rank])
     yield Wait(tuple(requests))
 
 
@@ -62,8 +69,10 @@ class NonblockingAlltoall(AlltoallAlgorithm):
     """Flat non-blocking exchange over the world communicator."""
 
     name = "nonblocking"
+    variable_counts = True
 
-    def run(self, ctx: RankContext, sendbuf: np.ndarray, recvbuf: np.ndarray):
+    def run(self, ctx: RankContext, sendbuf: np.ndarray, recvbuf: np.ndarray,
+            counts: np.ndarray | None = None):
         # Returns the exchange generator directly (rather than forwarding it
         # with ``yield from``) so every operation crosses one frame less.
-        return exchange_nonblocking(ctx.world, sendbuf, recvbuf)
+        return exchange_nonblocking(ctx.world, sendbuf, recvbuf, *rank_counts(ctx.rank, counts))

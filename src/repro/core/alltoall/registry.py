@@ -15,7 +15,15 @@ from repro.core.alltoall.pairwise import PairwiseAlltoall
 from repro.core.alltoall.system_mpi import SystemMPIAlltoall
 from repro.errors import ConfigurationError
 
-__all__ = ["ALGORITHMS", "ALGORITHM_NAMES", "get_algorithm", "list_algorithms"]
+__all__ = [
+    "ALGORITHMS",
+    "ALGORITHM_NAMES",
+    "get_algorithm",
+    "list_algorithms",
+    "V_ALGORITHM_NAMES",
+    "get_v_algorithm",
+    "list_v_algorithms",
+]
 
 #: Registry mapping algorithm name to its class.
 ALGORITHMS: dict[str, Type[AlltoallAlgorithm]] = {
@@ -36,6 +44,11 @@ ALGORITHMS: dict[str, Type[AlltoallAlgorithm]] = {
 
 #: Stable ordering of algorithm names used by reports and sweeps.
 ALGORITHM_NAMES: tuple[str, ...] = tuple(ALGORITHMS)
+
+#: Names run on count-matrix (alltoallv) traffic by the ``workload`` CLI,
+#: verify and phased selection.  Locality-aware aggregation is reached as
+#: ``node-aware`` with a ``procs_per_group``.
+V_ALGORITHM_NAMES: tuple[str, ...] = ("pairwise", "nonblocking", "node-aware")
 
 
 def list_algorithms() -> list[str]:
@@ -63,3 +76,19 @@ def get_algorithm(name: str, **options) -> AlltoallAlgorithm:
         return ALGORITHMS[key](**options)
     except TypeError as exc:
         raise ConfigurationError(f"invalid options for algorithm {name!r}: {exc}") from exc
+
+
+def list_v_algorithms() -> list[str]:
+    """Names of the algorithms run on count-matrix traffic by name."""
+    return list(V_ALGORITHM_NAMES)
+
+
+def get_v_algorithm(name: str, **options) -> AlltoallAlgorithm:
+    """Instantiate one of :data:`V_ALGORITHM_NAMES` by name with keyword configuration."""
+    if isinstance(name, AlltoallAlgorithm):
+        return name
+    if name.lower() not in V_ALGORITHM_NAMES:
+        raise ConfigurationError(
+            f"unknown alltoallv algorithm {name!r}; available: {', '.join(V_ALGORITHM_NAMES)}"
+        )
+    return get_algorithm(name, **options)

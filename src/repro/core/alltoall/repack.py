@@ -4,9 +4,10 @@ Algorithms 3–5 of the paper interleave communication phases with "Repack
 Data" steps that reorder blocks between the layout produced by one phase and
 the layout the next phase needs.  Because ranks are placed blockwise (node
 by node, group by group), every repack is a pure reshape/transpose of a
-dense array; this module implements them as vectorised NumPy operations and
-exposes the byte counts so the algorithms can charge the memory-copy cost to
-the simulated clock.
+dense array — or, for Algorithm 4's variable-count form, a transpose of a
+grid of variable-size chunks; this module implements them as vectorised
+NumPy operations and exposes the byte counts so the algorithms can charge
+the memory-copy cost to the simulated clock.
 
 Conventions: ``block`` is the number of array items each rank sends to each
 destination; groups of ``L`` consecutive ranks form the aggregation/leader
@@ -24,8 +25,7 @@ __all__ = [
     "pack_delay",
     "hierarchical_pack_for_leaders",
     "hierarchical_unpack_to_scatter",
-    "group_transpose_forward",
-    "group_transpose_backward",
+    "grid_transpose",
     "mlna_pack_for_internode",
     "mlna_pack_for_intranode",
     "mlna_unpack_to_scatter",
@@ -74,28 +74,34 @@ def hierarchical_unpack_to_scatter(received: np.ndarray, ppl: int, ngroups: int,
 # Node-aware / locality-aware (Algorithm 4)
 # ---------------------------------------------------------------------------
 
-def group_transpose_forward(received: np.ndarray, ngroups: int, group_size: int, block: int) -> np.ndarray:
-    """Reorder the inter-group result for the intra-group redistribution.
+def grid_transpose(buf: np.ndarray, sizes) -> np.ndarray:
+    """Reorder a buffer of chunks laid out row-major on a grid into column-major order.
 
-    After the inter-region all-to-all, the buffer is ordered by source group
-    then destination member; the intra-region all-to-all needs it ordered by
-    destination member then source group.
+    ``buf`` holds the chunks of an ``(R, C)`` grid back to back in row-major
+    order, chunk ``(r, c)`` having ``sizes[r, c]`` items; the result holds
+    the same chunks in column-major order.  ``grid_transpose(out, sizes.T)``
+    inverts it.  Algorithm 4 uses it on its ``(groups, group size)`` grid
+    after the inter-region exchange (source group, destination member ->
+    destination member, source group) and on the transposed grid after the
+    intra-region exchange (back to source world-rank order).
+
+    A constant grid (uniform blocks) is a reshape/transpose; any other grid
+    is one vectorised gather, so zero-size chunks and empty rows cost
+    nothing extra.
     """
-    cube = received.reshape(ngroups, group_size, block)
-    packed = cube.transpose(1, 0, 2)
-    return np.ascontiguousarray(packed).reshape(-1)
-
-
-def group_transpose_backward(received: np.ndarray, ngroups: int, group_size: int, block: int) -> np.ndarray:
-    """Reorder the intra-group result into world-rank (source) order.
-
-    After the intra-region all-to-all, the buffer is ordered by source member
-    then source group; the final receive buffer is ordered by source world
-    rank, i.e. source group then source member.
-    """
-    cube = received.reshape(group_size, ngroups, block)
-    packed = cube.transpose(1, 0, 2)
-    return np.ascontiguousarray(packed).reshape(-1)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    rows, cols = sizes.shape
+    flat = sizes.reshape(-1)
+    if flat.size == 0 or (flat == flat[0]).all():
+        block = int(flat[0]) if flat.size else 0
+        cube = buf.reshape(rows, cols, block).transpose(1, 0, 2)
+        return np.ascontiguousarray(cube).reshape(-1)
+    # Item j of output chunk (r, c) is item starts[r, c] + j of ``buf``.
+    starts = (np.cumsum(flat) - flat).reshape(rows, cols).T.reshape(-1)
+    out_sizes = sizes.T.reshape(-1)
+    out_starts = np.cumsum(out_sizes) - out_sizes
+    index = np.arange(int(flat.sum())) + np.repeat(starts - out_starts, out_sizes)
+    return buf[index]
 
 
 # ---------------------------------------------------------------------------

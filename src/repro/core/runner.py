@@ -11,9 +11,10 @@ Two entry points cover the two traffic families:
 * :func:`run_alltoall` — the paper's uniform exchange, parameterised by a
   scalar per-destination ``msg_bytes``;
 * :func:`run_workload` — a non-uniform exchange described by a
-  :class:`~repro.workloads.TrafficMatrix`, run with the variable-count
-  (``alltoallv``) algorithms of :mod:`repro.core.alltoall.valgorithms` and
-  validated against the non-uniform transposition.
+  :class:`~repro.workloads.TrafficMatrix`, run as packed ``alltoallv``
+  buffers by the same algorithm classes (those with ``variable_counts``,
+  which take the count matrix as a fourth ``run`` argument) and validated
+  against the non-uniform transposition.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.alltoall.base import AlltoallAlgorithm
-from repro.core.alltoall.registry import get_algorithm
-from repro.core.alltoall.valgorithms import AlltoallvAlgorithm, get_v_algorithm
+from repro.core.alltoall.registry import get_algorithm, get_v_algorithm
 from repro.core.validation import (
     make_workload_sendbuf,
     validate_alltoall_results,
@@ -70,6 +70,28 @@ def _check_fold_mode(fold: str) -> str:
     return fold
 
 
+def _check_faults(faults, fold: str):
+    """Normalise an empty fault spec to ``None``; faults and folding exclude each other."""
+    if faults is not None and not faults:
+        faults = None
+    if faults is not None and fold != "off":
+        raise ConfigurationError(
+            "fault injection is incompatible with symmetry folding "
+            f"(fold={fold!r}): faults break the node-rotation symmetry the "
+            "fold relies on; run with fold='off'"
+        )
+    return faults
+
+
+def _resolve_algorithm(resolve, algorithm, options: dict) -> AlltoallAlgorithm:
+    """Instantiate ``algorithm`` by name through ``resolve``, or take an instance as is."""
+    if isinstance(algorithm, str):
+        return resolve(algorithm, **options)
+    if options:
+        raise ConfigurationError("algorithm options can only be given together with an algorithm name")
+    return algorithm
+
+
 def _resolve_uniform_fold(pmap: ProcessMap, fold: str) -> ProcessMap:
     """Process map to simulate a *uniform* exchange with under ``fold`` mode.
 
@@ -100,14 +122,12 @@ def _resolve_workload_fold(pmap: ProcessMap, fold: str, matrix: TrafficMatrix) -
     return pmap
 
 
-@dataclass
-class AlltoallOutcome:
-    """Result of one simulated all-to-all exchange."""
+@dataclass(kw_only=True)
+class _ExchangeOutcome:
+    """Fields and traffic totals shared by the single-exchange outcomes."""
 
     #: Human-readable description of the algorithm and its options.
     algorithm: str
-    #: Per-destination message size in bytes.
-    msg_bytes: int
     #: Number of nodes used.
     num_nodes: int
     #: Processes per node.
@@ -142,6 +162,14 @@ class AlltoallOutcome:
         """Total messages that crossed the network."""
         counts = self.traffic_by_level.get(LocalityLevel.NETWORK, (0, 0))
         return counts[0]
+
+
+@dataclass(kw_only=True)
+class AlltoallOutcome(_ExchangeOutcome):
+    """Result of one simulated all-to-all exchange."""
+
+    #: Per-destination message size in bytes.
+    msg_bytes: int
 
     def summary(self) -> str:
         phases = ", ".join(f"{k}={v:.3e}s" for k, v in sorted(self.phase_times.items()))
@@ -224,14 +252,7 @@ def run_alltoall(
     """
     if msg_bytes <= 0:
         raise ConfigurationError(f"msg_bytes must be positive, got {msg_bytes}")
-    if faults is not None and not faults:
-        faults = None
-    if faults is not None and fold != "off":
-        raise ConfigurationError(
-            "fault injection is incompatible with symmetry folding "
-            f"(fold={fold!r}): faults break the node-rotation symmetry the "
-            "fold relies on; run with fold='off'"
-        )
+    faults = _check_faults(faults, fold)
     itemsize = np.dtype(dtype).itemsize
     if msg_bytes % itemsize != 0:
         raise ConfigurationError(
@@ -239,9 +260,7 @@ def run_alltoall(
         )
     block_items = msg_bytes // itemsize
 
-    algo = get_algorithm(algorithm, **algorithm_options) if isinstance(algorithm, str) else algorithm
-    if algorithm_options and not isinstance(algorithm, str):
-        raise ConfigurationError("algorithm options can only be given together with an algorithm name")
+    algo = _resolve_algorithm(get_algorithm, algorithm, algorithm_options)
     pmap = _resolve_uniform_fold(pmap, fold)
     algo.validate(pmap)
 
@@ -278,50 +297,16 @@ def run_alltoall(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WorkloadOutcome:
+@dataclass(kw_only=True)
+class WorkloadOutcome(_ExchangeOutcome):
     """Result of one simulated non-uniform (alltoallv) exchange."""
 
-    #: Human-readable description of the algorithm and its options.
-    algorithm: str
     #: Traffic pattern name of the matrix that was exchanged.
     pattern: str
     #: Total bytes moved by the exchange.
     total_bytes: int
     #: Load imbalance of the matrix (max per-rank send bytes over the mean).
     skew: float
-    #: Number of nodes used.
-    num_nodes: int
-    #: Processes per node.
-    ppn: int
-    #: Simulated execution time of the collective (max over ranks), seconds.
-    elapsed: float
-    #: Whether the receive buffers matched the reference transposition.
-    correct: bool
-    #: Max-over-ranks duration of each instrumented phase.
-    phase_times: dict[str, float] = field(default_factory=dict)
-    #: Message and byte counts per locality level.
-    traffic_by_level: dict[LocalityLevel, tuple[int, int]] = field(default_factory=dict)
-    #: Full engine result (per-rank data, metrics, NIC statistics).
-    job: JobResult | None = None
-    #: Symmetry-folding metadata (``None`` for unfolded runs).
-    fold: dict | None = None
-
-    @property
-    def nprocs(self) -> int:
-        return self.num_nodes * self.ppn
-
-    @property
-    def inter_node_bytes(self) -> int:
-        """Total bytes that crossed the network."""
-        counts = self.traffic_by_level.get(LocalityLevel.NETWORK, (0, 0))
-        return counts[1]
-
-    @property
-    def inter_node_messages(self) -> int:
-        """Total messages that crossed the network."""
-        counts = self.traffic_by_level.get(LocalityLevel.NETWORK, (0, 0))
-        return counts[0]
 
     def summary(self) -> str:
         phases = ", ".join(f"{k}={v:.3e}s" for k, v in sorted(self.phase_times.items()))
@@ -539,7 +524,7 @@ def phased_program(ctx, plans: tuple, dtype):
             sendbuf = make_workload_sendbuf(view.rank, counts, dtype=dtype)
             recvbuf = np.zeros(int(counts[:, view.rank].sum()), dtype=dtype)
             start = ctx.now
-            yield from algo.run(view, counts, sendbuf, recvbuf)
+            yield from algo.run(view, sendbuf, recvbuf, counts)
             ctx.record_span(label, start, ctx.now)
             # The barrier keeps consecutive exchanges from overlapping on a
             # shared communicator context; it is job-internal, so other
@@ -698,7 +683,7 @@ def run_phased_workload(
     return run_phased([job], pmap, **kwargs)
 
 
-def workload_program(ctx, algorithm: AlltoallvAlgorithm, counts: np.ndarray, dtype):
+def workload_program(ctx, algorithm: AlltoallAlgorithm, counts: np.ndarray, dtype):
     """Rank program that builds packed v-buffers, runs ``algorithm`` and stores the result.
 
     Like :func:`alltoall_program`, the receive buffer is published as the
@@ -708,11 +693,11 @@ def workload_program(ctx, algorithm: AlltoallvAlgorithm, counts: np.ndarray, dty
     sendbuf = make_workload_sendbuf(ctx.rank, counts, dtype=dtype)
     recvbuf = np.zeros(int(counts[:, ctx.rank].sum()), dtype=dtype)
     ctx.result = recvbuf
-    return algorithm.run(ctx, counts, sendbuf, recvbuf)
+    return algorithm.run(ctx, sendbuf, recvbuf, counts)
 
 
 def run_workload(
-    algorithm: str | AlltoallvAlgorithm,
+    algorithm: str | AlltoallAlgorithm,
     pmap: ProcessMap,
     matrix: TrafficMatrix | np.ndarray,
     *,
@@ -729,8 +714,10 @@ def run_workload(
     Parameters
     ----------
     algorithm:
-        V-algorithm registry name (``"pairwise"``, ``"nonblocking"``,
-        ``"node-aware"``) or an :class:`AlltoallvAlgorithm` instance.
+        Name from :data:`~repro.core.alltoall.registry.V_ALGORITHM_NAMES`
+        (``"pairwise"``, ``"nonblocking"``, ``"node-aware"``) or an
+        :class:`AlltoallAlgorithm` instance; a uniform-only algorithm is
+        rejected with :class:`~repro.errors.ConfigurationError`.
     pmap:
         Process placement; ``matrix.nprocs`` must equal ``pmap.nprocs``.
     matrix:
@@ -759,14 +746,7 @@ def run_workload(
     """
     if isinstance(matrix, np.ndarray):
         matrix = TrafficMatrix(matrix)
-    if faults is not None and not faults:
-        faults = None
-    if faults is not None and fold != "off":
-        raise ConfigurationError(
-            "fault injection is incompatible with symmetry folding "
-            f"(fold={fold!r}): faults break the node-rotation symmetry the "
-            "fold relies on; run with fold='off'"
-        )
+    faults = _check_faults(faults, fold)
     if matrix.nprocs != pmap.nprocs:
         raise ConfigurationError(
             f"traffic matrix describes {matrix.nprocs} ranks but the process map "
@@ -774,14 +754,7 @@ def run_workload(
         )
     counts = matrix.item_counts(np.dtype(dtype))
 
-    if isinstance(algorithm, str):
-        algo = get_v_algorithm(algorithm, **algorithm_options)
-    else:
-        algo = algorithm
-        if algorithm_options:
-            raise ConfigurationError(
-                "algorithm options can only be given together with an algorithm name"
-            )
+    algo = _resolve_algorithm(get_v_algorithm, algorithm, algorithm_options)
     pmap = _resolve_workload_fold(pmap, fold, matrix)
     algo.validate(pmap, counts)
 

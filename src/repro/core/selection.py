@@ -324,7 +324,7 @@ def select_phased(
     the ``adaptive`` figure measures end-to-end.
     """
     from repro.bench.harness import BenchmarkHarness  # local import to avoid a cycle
-    from repro.core.alltoall.valgorithms import get_v_algorithm
+    from repro.core.alltoall.registry import get_v_algorithm
     from repro.errors import ReproError
     from repro.machine.process_map import ProcessMap
 

@@ -129,10 +129,10 @@ def node_aware_workload_cost(
     """Node-aware (or locality-aware) aggregated exchange of a traffic matrix.
 
     Phase structure mirrors
-    :func:`repro.core.alltoall.valgorithms.node_aware_alltoallv`: an
-    inter-region alltoallv whose per-peer bytes aggregate whole destination
-    groups, two repacks, and an intra-region alltoallv that never touches
-    the NIC.
+    :func:`repro.core.alltoall.node_aware.node_aware_alltoall` on a count
+    matrix: an inter-region alltoallv whose per-peer bytes aggregate whole
+    destination groups, two repacks, and an intra-region alltoallv that
+    never touches the NIC.
     """
     _check(pmap, matrix)
     params = pmap.params

@@ -32,8 +32,7 @@ from hashlib import sha256
 
 import numpy as np
 
-from repro.core.alltoall.registry import get_algorithm
-from repro.core.alltoall.valgorithms import get_v_algorithm
+from repro.core.alltoall.registry import get_algorithm, get_v_algorithm
 from repro.core.runner import run_alltoall, run_phased_workload, run_workload
 from repro.core.validation import expected_alltoall_result, expected_workload_result
 from repro.errors import ReproError
@@ -285,17 +284,17 @@ class DifferentialRunner:
         """Run one configuration and compare it; returns (failure, outcome)."""
         pmap = scenario.process_map()
         options = config.as_dict()
+        if scenario.family == "uniform":
+            resolve, all_counts = get_algorithm, [None]
+        elif scenario.family == "phased":
+            resolve = get_v_algorithm
+            all_counts = [phase.matrix.item_counts(_DTYPE) for phase in scenario.phases.phases]
+        else:
+            resolve, all_counts = get_v_algorithm, [scenario.matrix.item_counts(_DTYPE)]
         try:
-            if scenario.family == "uniform":
-                algo = get_algorithm(config.name, **options)
-                algo.validate(pmap)
-            elif scenario.family == "phased":
-                algo = get_v_algorithm(config.name, **options)
-                for phase in scenario.phases.phases:
-                    algo.validate(pmap, phase.matrix.item_counts(_DTYPE))
-            else:
-                algo = get_v_algorithm(config.name, **options)
-                algo.validate(pmap, scenario.matrix.item_counts(_DTYPE))
+            algo = resolve(config.name, **options)
+            for counts in all_counts:
+                algo.validate(pmap, counts)
         except ReproError as exc:
             return self._failure(scenario, config, "inapplicable", str(exc)), None
 

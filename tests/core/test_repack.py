@@ -50,22 +50,69 @@ class TestHierarchicalRepack:
         assert sorted(packed.tolist()) == sorted(original.tolist())
 
 
+def _reference_grid_transpose(buf, sizes):
+    """Per-chunk reference: slice every chunk, concatenate in column-major order."""
+    rows, cols = sizes.shape
+    bounds = np.concatenate(([0], np.cumsum(sizes.reshape(-1))))
+    chunks = {
+        (r, c): buf[bounds[r * cols + c]: bounds[r * cols + c + 1]]
+        for r in range(rows) for c in range(cols)
+    }
+    ordered = [chunks[r, c] for c in range(cols) for r in range(rows)]
+    return np.concatenate(ordered) if ordered else buf[:0]
+
+
 class TestGroupTranspose:
     def test_forward_is_group_major_to_member_major(self):
         ngroups, group, block = 3, 2, 2
         received = _tagged((ngroups, group, block)).reshape(-1)
-        forward = repack.group_transpose_forward(received, ngroups, group, block)
+        forward = repack.grid_transpose(received, np.full((ngroups, group), block))
         expected = received.reshape(ngroups, group, block).transpose(1, 0, 2).reshape(-1)
         assert np.array_equal(forward, expected)
 
     def test_backward_inverts_forward(self):
         ngroups, group, block = 4, 3, 2
         original = _tagged((ngroups, group, block)).reshape(-1)
-        forward = repack.group_transpose_forward(original, ngroups, group, block)
+        sizes = np.full((ngroups, group), block)
+        forward = repack.grid_transpose(original, sizes)
         # After the intra-group exchange the axes are (member, group); the
-        # backward transpose restores (group, member) ordering.
-        restored = repack.group_transpose_backward(forward, ngroups, group, block)
+        # call on the transposed grid restores (group, member) ordering.
+        restored = repack.grid_transpose(forward, sizes.T)
         assert np.array_equal(restored, original)
+
+
+class TestGridTranspose:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_chunk_reference_and_inverts(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            rows, cols = rng.integers(1, 7, size=2)
+            sizes = rng.integers(0, 5, size=(rows, cols))
+            sizes[rng.random((rows, cols)) < 0.3] = 0          # zero-size chunks
+            sizes[rng.integers(rows)] = 0                       # an empty row
+            buf = np.arange(int(sizes.sum()), dtype=np.int64)
+            out = repack.grid_transpose(buf, sizes)
+            assert np.array_equal(out, _reference_grid_transpose(buf, sizes))
+            assert np.array_equal(repack.grid_transpose(out, sizes.T), buf)
+
+    def test_constant_grid_is_the_reshape_transpose(self):
+        rows, cols, block = 5, 3, 4
+        buf = _tagged((rows, cols, block)).reshape(-1)
+        out = repack.grid_transpose(buf, np.full((rows, cols), block))
+        assert np.array_equal(out, buf.reshape(rows, cols, block).transpose(1, 0, 2).reshape(-1))
+        assert np.array_equal(out, _reference_grid_transpose(buf, np.full((rows, cols), block)))
+
+    def test_all_empty_grid(self):
+        empty = np.empty(0, dtype=np.uint8)
+        out = repack.grid_transpose(empty, np.zeros((3, 2), dtype=np.int64))
+        assert out.size == 0 and out.dtype == np.uint8
+
+    def test_small_grid_by_hand(self):
+        # Row-major chunks [0] [1 2] / [3 4 5] []  ->  column-major order.
+        sizes = np.array([[1, 2], [3, 0]])
+        out = repack.grid_transpose(np.arange(6, dtype=np.uint8), sizes)
+        assert out.dtype == np.uint8
+        assert out.tolist() == [0, 3, 4, 5, 1, 2]
 
 
 class TestMlnaRepack:

@@ -98,15 +98,14 @@ class TestRepackRoundTrips:
         for _ in range(50):
             ngroups, group, block = _random_dims(rng, 3)
             buf = np.arange(ngroups * group * block, dtype=np.int64)
-            forward = repack.group_transpose_forward(buf, ngroups, group, block)
-            restored = repack.group_transpose_backward(forward, ngroups, group, block)
+            # Forward is the (groups, members) grid, backward its transpose.
+            sizes = np.full((ngroups, group), block)
+            forward = repack.grid_transpose(buf, sizes)
+            restored = repack.grid_transpose(forward, sizes.T)
             assert np.array_equal(restored, buf)
             # And forward of backward as well: the pair is a true inverse.
             assert np.array_equal(
-                repack.group_transpose_forward(
-                    repack.group_transpose_backward(buf, ngroups, group, block),
-                    ngroups, group, block,
-                ),
+                repack.grid_transpose(repack.grid_transpose(buf, sizes.T), sizes),
                 buf,
             )
 
@@ -164,8 +163,9 @@ class TestRepackRoundTrips:
             empty = np.empty(0, dtype=np.int64)
             assert repack.hierarchical_pack_for_leaders(empty, ppl, ngroups, 0).size == 0
             assert repack.hierarchical_unpack_to_scatter(empty, ppl, ngroups, 0).size == 0
-            assert repack.group_transpose_forward(empty, ngroups, group, 0).size == 0
-            assert repack.group_transpose_backward(empty, ngroups, group, 0).size == 0
+            zero_grid = np.zeros((ngroups, group), dtype=np.int64)
+            assert repack.grid_transpose(empty, zero_grid).size == 0
+            assert repack.grid_transpose(empty, zero_grid.T).size == 0
             nodes, leaders = _random_dims(rng, 2)
             ppn = ppl * leaders
             assert repack.mlna_pack_for_internode(empty, ppl, nodes, ppn, 0).size == 0

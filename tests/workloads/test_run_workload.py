@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import BenchmarkHarness
-from repro.core import run_alltoall, run_workload
-from repro.core.alltoall.valgorithms import get_v_algorithm, list_v_algorithms
+from repro.core import run_alltoall, run_phased_workload, run_workload
+from repro.core.alltoall.registry import get_algorithm, get_v_algorithm, list_v_algorithms
 from repro.core.instrumentation import PHASE_INTER, PHASE_INTRA, PHASE_PACK
 from repro.errors import BufferSizeError, ConfigurationError
 from repro.machine import ProcessMap, tiny_cluster
+from repro.netsim.fabric import parse_fabric
 from repro.model.predict import (
     WORKLOAD_MODELED_ALGORITHMS,
     predict_workload_breakdown,
     predict_workload_time,
 )
-from repro.workloads import TrafficMatrix, skewed_moe, sparse, uniform
+from repro.workloads import Phase, PhasedWorkload, TrafficMatrix, skewed_moe, sparse, uniform
 
 
 @pytest.fixture
@@ -44,11 +45,54 @@ class TestRunWorkload:
         outcome = run_workload("node-aware", pmap, uniform(pmap.nprocs, 64), keep_job=False)
         assert {PHASE_INTER, PHASE_INTRA, PHASE_PACK} <= set(outcome.phase_times)
 
-    def test_uniform_matrix_matches_run_alltoall(self, pmap):
-        """A uniform TrafficMatrix through the v-path reproduces the uniform runner's timing."""
-        flat = run_alltoall("pairwise", pmap, 64, validate=False, keep_job=False)
-        v = run_workload("pairwise", pmap, uniform(pmap.nprocs, 64), keep_job=False)
-        assert v.elapsed == pytest.approx(flat.elapsed, rel=1e-9)
+    @pytest.mark.parametrize("fabric", [None, "dragonfly:hosts=2,routers=2,taper=4"],
+                             ids=["full-bisection", "dragonfly"])
+    @pytest.mark.parametrize("uniform_algo,workload_algo", [
+        (("pairwise", {}), ("pairwise", {})),
+        (("nonblocking", {}), ("nonblocking", {})),
+        (("node-aware", {"inner": "pairwise"}), ("node-aware", {"inner": "pairwise"})),
+        (("node-aware", {"inner": "nonblocking"}), ("node-aware", {"inner": "nonblocking"})),
+        (("locality-aware", {"procs_per_group": 2}), ("node-aware", {"procs_per_group": 2})),
+    ], ids=["pairwise", "nonblocking", "node-aware-pairwise", "node-aware-nonblocking",
+            "locality-aware-2"])
+    def test_uniform_matrix_matches_run_alltoall(self, fabric, uniform_algo, workload_algo):
+        """A uniform TrafficMatrix simulates exactly what the scalar uniform run does.
+
+        Timings, phase breakdown, traffic and the engine's event and
+        matching counts are all identical, not merely close.
+        """
+        cluster = tiny_cluster(num_nodes=8, fabric=parse_fabric(fabric) if fabric else None)
+        pmap = ProcessMap(cluster, ppn=4)
+        name, options = uniform_algo
+        flat = run_alltoall(name, pmap, 64, **options)
+        name, options = workload_algo
+        v = run_workload(name, pmap, uniform(pmap.nprocs, 64), **options)
+        assert flat.correct and v.correct
+        assert v.elapsed == flat.elapsed
+        assert v.phase_times == flat.phase_times
+        assert v.traffic_by_level == flat.traffic_by_level
+        want, got = flat.job.metrics, v.job.metrics
+        assert got["engine"]["events_processed"] == want["engine"]["events_processed"]
+        assert got["traffic"]["messages"] == want["traffic"]["messages"]
+        assert got["matching"]["entries_scanned"] == want["matching"]["entries_scanned"]
+        assert got["matching"]["queued"] == want["matching"]["queued"]
+
+    @pytest.mark.parametrize("algorithm", ["bruck", "batched", "hierarchical", "system-mpi"])
+    def test_uniform_only_algorithm_rejected(self, pmap, algorithm):
+        with pytest.raises(ConfigurationError, match="uniform blocks only"):
+            run_workload(get_algorithm(algorithm), pmap, uniform(pmap.nprocs, 8))
+
+    @pytest.mark.parametrize("inner", ["bruck", "batched"])
+    def test_node_aware_with_uniform_only_inner_rejected(self, pmap, inner):
+        with pytest.raises(ConfigurationError, match="uniform blocks only"):
+            run_workload("node-aware", pmap, uniform(pmap.nprocs, 8), inner=inner)
+
+    def test_uniform_only_algorithm_rejected_by_phased_run(self, pmap):
+        workload = PhasedWorkload([Phase("only", uniform(pmap.nprocs, 8))])
+        with pytest.raises(ConfigurationError):
+            run_phased_workload("bruck", pmap, workload)
+        with pytest.raises(ConfigurationError, match="uniform blocks only"):
+            run_phased_workload(("node-aware", {"inner": "bruck"}), pmap, workload)
 
     def test_aggregation_reduces_inter_node_messages(self, pmap):
         matrix = skewed_moe(pmap.nprocs, 256, seed=2)
@@ -164,7 +208,7 @@ class TestVAlgorithmValidation:
             algo = get_v_algorithm("node-aware")
             bad_send = np.zeros(1, dtype=np.uint8)
             recv = np.zeros(int(counts[:, ctx.rank].sum()), dtype=np.uint8)
-            yield from algo.run(ctx, counts, bad_send, recv)
+            yield from algo.run(ctx, bad_send, recv, counts)
 
         with pytest.raises(BufferSizeError):
             run_spmd(pmap, program)
@@ -181,5 +225,8 @@ class TestVAlgorithmValidation:
         with pytest.raises(ConfigurationError):
             get_v_algorithm("teleport")
 
-    def test_describe_distinguishes_v_family(self):
-        assert get_v_algorithm("pairwise").describe() == "pairwisev"
+    def test_v_run_describes_like_uniform_run(self, pmap):
+        outcome = run_workload("node-aware", pmap, uniform(pmap.nprocs, 8), keep_job=False)
+        assert outcome.algorithm == get_algorithm("node-aware").describe() == (
+            "node-aware(inner=pairwise)"
+        )
