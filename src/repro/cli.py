@@ -63,7 +63,7 @@ from repro.machine.process_map import ProcessMap
 from repro.machine.systems import SYSTEM_PRESETS, get_system, list_systems
 from repro.model.predict import WORKLOAD_MODELED_ALGORITHMS, predict_workload_time
 from repro.netsim.fabric import FullBisectionFabric, list_fabrics, parse_fabric
-from repro.runtime import ResultStore, RetryPolicy, SweepExecutor
+from repro.runtime import ResultStore, RetryPolicy, SweepExecutor, SweepFailure
 from repro.runtime.executor import default_jobs
 from repro.workloads import list_patterns, load_trace, make_pattern
 
@@ -333,8 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--inner", default=None, choices=["pairwise", "nonblocking", "bruck", "batched"])
     run.add_argument("--fold", default="off", choices=["off", "auto", "on"],
                      help="symmetry folding: simulate one node's ranks standing in "
-                          "for the whole machine (exact for the uniform exchange; "
-                          "required for paper-scale node counts)")
+                          "for the whole machine (exact for the uniform exchange on a "
+                          "fabric without shared links; on one with shared links 'on' "
+                          "is refused and 'auto' runs every rank; required for "
+                          "paper-scale node counts)")
     _add_fabric_argument(run)
     _add_faults_argument(run)
 
@@ -396,8 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="node-aware: inner exchange of both phases")
     workload.add_argument("--fold", default="off", choices=["off", "auto", "on"],
                           help="symmetry folding: 'auto' folds when the traffic "
-                               "matrix is node-rotation symmetric, 'on' demands it, "
-                               "'off' (default) simulates every rank")
+                               "matrix is node-rotation symmetric and the fabric "
+                               "shares no links, 'on' demands it, 'off' (default) "
+                               "simulates every rank")
     workload.add_argument("--no-model", action="store_true",
                           help="skip the analytic-model comparison")
     _add_phases_argument(workload, "runs the phases back-to-back on one "
@@ -425,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--fold-gate", action="store_true",
                         help="also run the symmetry-folding differential gate: every "
                              "algorithm folded vs full width with bit-identical "
-                             "timings demanded (plus a folded-vs-model cross-check)")
+                             "timings demanded, folding refused on contended fabrics "
+                             "(plus a folded-vs-model cross-check)")
     verify.add_argument("--fabric", default=None, metavar="SPEC",
                         help="verify over fabric-enabled scenarios (adds the "
                              "incast/neighbor-shift shapes); same syntax as the "
@@ -596,8 +600,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     fold = args.fold
     if args.nodes == "paper" and fold == "off":
         # A full-width run at Table-1 scale is out of reach by construction;
-        # folding is the whole point of asking for the paper machine.
-        fold = "auto"
+        # folding is the whole point of asking for the paper machine, so a
+        # fabric that refuses it fails fast instead of falling back.
+        fold = "on"
     cluster = get_system(args.system, nodes, fabric=_fabric_from_args(args))
     pmap = ProcessMap(cluster, ppn=args.ppn, num_nodes=nodes)
     try:
@@ -788,8 +793,9 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         try:
             harness = BenchmarkHarness(cluster, args.ppn, engine="simulate",
                                        executor=executor, faults=faults)
-            point = harness.workload_point(args.algorithm, matrix, args.nodes, **options)
-        except ConfigurationError as exc:
+            point = harness.workload_point(args.algorithm, matrix, args.nodes,
+                                           fold=args.fold, **options)
+        except (ConfigurationError, SweepFailure) as exc:
             raise SystemExit(str(exc)) from exc
         finally:
             _finish_executor(executor)

@@ -34,7 +34,7 @@ from repro.core.validation import (
     validate_workload_results,
 )
 from repro.errors import ConfigurationError
-from repro.machine.folding import uniform_certificate
+from repro.machine.folding import fabric_fold_refusal, uniform_certificate
 from repro.machine.hierarchy import LocalityLevel
 from repro.machine.process_map import ProcessMap
 from repro.simmpi.engine import JobResult, run_spmd
@@ -92,33 +92,31 @@ def _resolve_algorithm(resolve, algorithm, options: dict) -> AlltoallAlgorithm:
     return algorithm
 
 
-def _resolve_uniform_fold(pmap: ProcessMap, fold: str) -> ProcessMap:
-    """Process map to simulate a *uniform* exchange with under ``fold`` mode.
+def _resolve_fold(pmap: ProcessMap, fold: str, matrix: TrafficMatrix | None = None) -> ProcessMap:
+    """Process map to simulate an exchange with under ``fold`` mode.
 
-    Uniform traffic is invariant under every rank rotation, so ``auto`` and
-    ``on`` both fold (unless the map already is, or folding is a no-op on a
-    single node in which case it still works but saves nothing).
+    Folding is exact only on a fabric without shared links
+    (:func:`~repro.machine.folding.fabric_fold_refusal`) and for traffic
+    certified node-rotation invariant: uniform traffic (``matrix=None``)
+    always is, a matrix when the symmetry analyzer says so.  ``auto``
+    folds where both hold and runs the full simulation otherwise; ``on``
+    raises where either fails.
     """
     _check_fold_mode(fold)
     if fold == "off" or pmap.is_folded:
         return pmap
-    return pmap.folded(uniform_certificate(pmap.nprocs, pmap.ppn))
+    refusal = fabric_fold_refusal(pmap.cluster, pmap.num_nodes)
+    if refusal is None:
+        if matrix is None:
+            return pmap.folded(uniform_certificate(pmap.nprocs, pmap.ppn))
+        from repro.workloads.symmetry import analyze_symmetry
 
-
-def _resolve_workload_fold(pmap: ProcessMap, fold: str, matrix: TrafficMatrix) -> ProcessMap:
-    """Process map for a workload: fold only when the analyzer certifies it."""
-    _check_fold_mode(fold)
-    if fold == "off" or pmap.is_folded:
-        return pmap
-    from repro.workloads.symmetry import analyze_symmetry
-
-    report = analyze_symmetry(matrix, pmap.ppn)
-    if report.foldable:
-        return pmap.folded(report.fold_certificate())
+        report = analyze_symmetry(matrix, pmap.ppn)
+        if report.foldable:
+            return pmap.folded(report.fold_certificate())
+        refusal = f"fold requested but the traffic is not foldable: {report.certificate}"
     if fold == "on":
-        raise ConfigurationError(
-            f"fold requested but the traffic is not foldable: {report.certificate}"
-        )
+        raise ConfigurationError(refusal)
     return pmap
 
 
@@ -239,9 +237,11 @@ def run_alltoall(
     fold:
         Symmetry folding mode — ``"off"`` (default) simulates every rank;
         ``"auto"`` and ``"on"`` simulate one node's representatives standing
-        in for the whole machine (always sound for the uniform exchange; see
-        :mod:`repro.machine.folding`).  With folding off the simulated
-        arithmetic is bit-identical to what it was before folding existed.
+        in for the whole machine (see :mod:`repro.machine.folding`), which
+        is exact for the uniform exchange on a fabric without shared links.
+        On a fabric with shared links ``"on"`` raises and ``"auto"`` runs
+        the full simulation.  With folding off the simulated arithmetic is
+        bit-identical to what it was before folding existed.
     faults:
         Optional :class:`repro.faults.FaultSpec` injecting deterministic
         machine degradations (degraded/flapping links, stragglers, OS
@@ -261,7 +261,7 @@ def run_alltoall(
     block_items = msg_bytes // itemsize
 
     algo = _resolve_algorithm(get_algorithm, algorithm, algorithm_options)
-    pmap = _resolve_uniform_fold(pmap, fold)
+    pmap = _resolve_fold(pmap, fold)
     algo.validate(pmap)
 
     job = run_spmd(pmap, alltoall_program, algo, block_items, np.dtype(dtype),
@@ -574,8 +574,7 @@ def run_phased(
             "sequences and multi-job placements break the node-rotation "
             "symmetry the fold relies on"
         )
-    if faults is not None and not faults:
-        faults = None
+    faults = _check_faults(faults, "off")
     total_nodes = sum(job.num_nodes for job in jobs)
     if total_nodes != pmap.num_nodes:
         raise ConfigurationError(
@@ -734,9 +733,10 @@ def run_workload(
     fold:
         Symmetry folding mode.  ``"auto"`` folds when the symmetry analyzer
         (:func:`repro.workloads.symmetry.analyze_symmetry`) certifies the
-        matrix as node-rotation invariant and falls back to the full
-        simulation otherwise; ``"on"`` raises if the traffic is not
-        foldable; ``"off"`` (default) always simulates every rank.
+        matrix as node-rotation invariant and the fabric shares no links,
+        and falls back to the full simulation otherwise; ``"on"`` raises
+        where ``"auto"`` would fall back; ``"off"`` (default) always
+        simulates every rank.
     faults:
         Optional :class:`repro.faults.FaultSpec` (see :func:`run_alltoall`);
         incompatible with folding.
@@ -755,7 +755,7 @@ def run_workload(
     counts = matrix.item_counts(np.dtype(dtype))
 
     algo = _resolve_algorithm(get_v_algorithm, algorithm, algorithm_options)
-    pmap = _resolve_workload_fold(pmap, fold, matrix)
+    pmap = _resolve_fold(pmap, fold, matrix)
     algo.validate(pmap, counts)
 
     job = run_spmd(pmap, workload_program, algo, counts, np.dtype(dtype),

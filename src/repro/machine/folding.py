@@ -24,6 +24,16 @@ send reconstructs node 0's inbound message stream exactly — same shapes,
 same posting times, same matching order — which is what makes the folded
 timings bit-identical to the full run on node-transitive machines (see
 ``docs/ARCHITECTURE.md``, *Symmetry folding*).
+
+Fabrics
+-------
+The mirrors reproduce node 0's own resources (its NIC, its matching
+queues).  A shared fabric link is not one of them: it also carries traffic
+between nodes a folded run never simulates, so no node-0 substitution
+prices its queueing exactly.  Folding is therefore allowed only where the
+fabric builds no link state for the job — full bisection, a non-blocking
+fat-tree, a single edge switch or a single dragonfly router — and refused
+everywhere else (:func:`fabric_fold_refusal`).
 """
 
 from __future__ import annotations
@@ -33,7 +43,13 @@ from dataclasses import dataclass
 from repro.errors import TopologyError
 from repro.machine.process_map import ProcessMap
 
-__all__ = ["FoldCertificate", "FoldedProcessMap", "fold_process_map", "uniform_certificate"]
+__all__ = [
+    "FoldCertificate",
+    "FoldedProcessMap",
+    "fabric_fold_refusal",
+    "fold_process_map",
+    "uniform_certificate",
+]
 
 
 @dataclass(frozen=True)
@@ -148,6 +164,25 @@ class FoldedProcessMap(ProcessMap):
             f"{super().describe()} [folded: {self.sim_nprocs} representative ranks "
             f"x multiplicity {self.multiplicity}]"
         )
+
+
+def fabric_fold_refusal(cluster, num_nodes: int) -> str | None:
+    """Why a fold of a ``num_nodes`` job on ``cluster`` is refused, or ``None``.
+
+    ``None`` exactly when the fabric builds no link state for the job (the
+    job's ``ProcessMap.model_fabric_state is None``), decided without
+    building it.  The runner, :class:`~repro.runtime.spec.PointSpec` and
+    the engine all ask here.
+    """
+    fabric = cluster.fabric
+    if not fabric.shares_links(num_nodes):
+        return None
+    return (
+        f"symmetry folding is exact only on a fabric without shared links, "
+        f"and {fabric.describe()} shares links between {num_nodes} nodes: a "
+        "folded run cannot price the contention of the nodes it does not "
+        "simulate; run with fold='off'"
+    )
 
 
 def fold_process_map(pmap: ProcessMap, certificate: FoldCertificate | None = None) -> FoldedProcessMap:

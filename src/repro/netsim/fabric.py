@@ -31,7 +31,9 @@ arithmetic, so default simulated timings are bit-identical to the pinned
 golden fixture.  A fat-tree with ``oversubscription <= 1`` is rearrangeably
 non-blocking and likewise builds no state, which is what makes the
 ``oversubscription=1 == full-bisection`` identity exact rather than
-approximate.
+approximate.  ``spec.shares_links(num_nodes)`` says whether ``build`` makes
+state without building it; symmetry folding (:mod:`repro.machine.folding`)
+is refused wherever it does.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "FatTreeFabric",
     "DragonflyFabric",
     "FabricState",
-    "FoldedFabricView",
     "FABRIC_KINDS",
     "parse_fabric",
     "fabric_from_payload",
@@ -244,148 +245,6 @@ class FabricState:
         )
 
 
-class FoldedFabricView:
-    """Multiplicity-weighted view of a :class:`FabricState` for folded jobs.
-
-    A symmetry-folded job (:mod:`repro.machine.folding`) simulates only the
-    sends of node 0's representative ranks, so a shared link would see only
-    the fraction of its traffic that originates at the simulated nodes —
-    a fat-tree uplink shared by ``hosts_per_switch`` nodes would be loaded
-    by just one of them and contention would evaporate.  This view restores
-    the absent nodes' load with two per-link multipliers:
-
-    * the **aggregate weight** ``w_L`` — all node-pair routes crossing the
-      link divided by the routes originating at simulated nodes — scales the
-      *accounting* (``busy_time``, ``bytes``), so every link reports exactly
-      the multiplicity-weighted totals of the full run;
-    * the **aligned concurrency** ``a_L`` — the maximum, over destination
-      offsets ``d``, of how many sources ``s`` route ``s -> (s + d) % N``
-      through the link — scales the *timeline reservation*.  Under the
-      node-rotation symmetry every folded-away node runs the representative's
-      schedule at the same instants, so at any moment a link is contended by
-      the sources aligned on the current offset, not by its whole-run
-      average.  Reserving ``a_L`` occupancies per traversal reproduces the
-      full run's per-link saturation (a fat-tree uplink's ``a_L`` is its
-      ``hosts_per_switch``) without the burst amplification that scaling by
-      ``w_L`` would cause on fan-in links (a downlink's ``w_L`` counts every
-      remote switch, but only one switch converges on it at a time).
-
-    Unlike the NIC and matching paths, which the mirror construction makes
-    bit-exact, weighted link occupancy is an *aggregate-faithful smoothing*:
-    per-message queueing is interleaved differently than in the full run.
-    The differential fold gate therefore checks contended-fabric timings
-    against a tolerance rather than bit equality (see
-    :mod:`repro.verify.folding`).
-
-    The view exposes the same ``traverse`` / ``statistics`` / ``sink``
-    surface the timing model uses, so the hot path is unchanged.
-    """
-
-    __slots__ = ("state", "sim_nodes", "_weights", "_concurrency")
-
-    def __init__(self, state: FabricState, sim_nodes: int) -> None:
-        self.state = state
-        self.sim_nodes = sim_nodes
-        total: dict[int, int] = {}
-        simulated: dict[int, int] = {}
-        nodes = 0
-        for (src, dst), route in state.routes.items():
-            if src >= nodes:
-                nodes = src + 1
-            if dst >= nodes:
-                nodes = dst + 1
-            for link in route:
-                key = id(link)
-                total[key] = total.get(key, 0) + 1
-                if src < sim_nodes:
-                    simulated[key] = simulated.get(key, 0) + 1
-        #: id(link) -> accounting multiplier.  Links never reached from a
-        #: simulated node keep no weight: they are never traversed.
-        self._weights = {
-            key: total[key] / simulated[key] for key in total if key in simulated
-        }
-        #: id(link) -> timeline multiplier: max sources aligned on one
-        #: destination offset (one O(nodes^2) sweep at construction).
-        concurrency: dict[int, int] = {}
-        for offset in range(1, nodes):
-            per_offset: dict[int, int] = {}
-            for src in range(nodes):
-                route = state.routes.get((src, (src + offset) % nodes))
-                if not route:
-                    continue
-                for link in route:
-                    key = id(link)
-                    per_offset[key] = per_offset.get(key, 0) + 1
-            for key, count in per_offset.items():
-                if count > concurrency.get(key, 0):
-                    concurrency[key] = count
-        self._concurrency = {
-            key: float(concurrency.get(key, 1)) for key in self._weights
-        }
-
-    @property
-    def name(self) -> str:
-        return f"{self.state.name} [folded]"
-
-    @property
-    def sink(self):
-        return self.state.sink
-
-    @sink.setter
-    def sink(self, value) -> None:
-        self.state.sink = value
-
-    @property
-    def routes(self) -> dict[tuple[int, int], tuple[_Link, ...]]:
-        return self.state.routes
-
-    def fold_weight(self, link: _Link) -> float:
-        """Accounting multiplier (``w_L``) applied to traversals of ``link``."""
-        return self._weights.get(id(link), 1.0)
-
-    def aligned_concurrency(self, link: _Link) -> float:
-        """Timeline multiplier (``a_L``) applied to traversals of ``link``."""
-        return self._concurrency.get(id(link), 1.0)
-
-    def route(self, src_node: int, dst_node: int) -> tuple[_Link, ...]:
-        return self.state.route(src_node, dst_node)
-
-    def traverse(self, src_node: int, dst_node: int, nbytes: int, start: float) -> float:
-        """Weighted :meth:`FabricState.traverse`: same FIFO discipline, the
-        timeline reservation scaled by the link's aligned concurrency and
-        the accounting by its aggregate fold weight."""
-        t = start
-        state = self.state
-        sink = state.sink
-        weights = self._weights
-        concurrency = self._concurrency
-        for link in state.routes[(src_node, dst_node)]:
-            key = id(link)
-            occupancy = link.hop_overhead + nbytes * link.byte_time
-            reserved = occupancy * concurrency.get(key, 1.0)
-            weight = weights.get(key, 1.0)
-            resource = link.resource
-            available = resource.available_at
-            begin = t if t >= available else available
-            end = begin + reserved
-            resource.available_at = end
-            resource.busy_time += occupancy * weight
-            resource.reservations += 1
-            link.bytes_moved += int(nbytes * weight)
-            delay = begin - t
-            link.queued_time += delay
-            if delay > link.max_queue_delay:
-                link.max_queue_delay = delay
-            if sink is not None:
-                sink.link(link.name, t, begin, end, nbytes, src_node, dst_node)
-            t = end
-        return t
-
-    def statistics(self) -> list[dict]:
-        """Per-link accounting (the underlying state's, already weighted)."""
-        return self.state.statistics()
-
-
 # ---------------------------------------------------------------------------
 # Specifications
 # ---------------------------------------------------------------------------
@@ -401,6 +260,10 @@ class FullBisectionFabric:
     """
 
     kind: ClassVar[str] = "full-bisection"
+
+    def shares_links(self, num_nodes: int) -> bool:
+        """Whether :meth:`build` makes shared link state for ``num_nodes``."""
+        return False
 
     def build(self, num_nodes: int, params) -> FabricState | None:
         return None
@@ -448,15 +311,19 @@ class FatTreeFabric:
                 f"oversubscription must be >= 1, got {self.oversubscription}"
             )
 
+    def shares_links(self, num_nodes: int) -> bool:
+        """Whether :meth:`build` makes shared link state for ``num_nodes``.
+
+        Not for a non-blocking tree, and not when every node hangs off one
+        edge switch: then no traffic crosses the (oversubscribed) core.
+        """
+        return self.oversubscription > 1.0 and num_nodes > self.hosts_per_switch
+
     def build(self, num_nodes: int, params) -> FabricState | None:
-        if self.oversubscription <= 1.0:
+        if not self.shares_links(num_nodes):
             return None
         hosts = self.hosts_per_switch
         num_switches = (num_nodes + hosts - 1) // hosts
-        if num_switches <= 1:
-            # Every node hangs off one edge switch: no traffic crosses the
-            # (oversubscribed) core, so there is nothing to contend on.
-            return None
         bandwidth = hosts * params.injection_bandwidth / self.oversubscription
         overhead = params.nic_message_overhead
         up = [_Link(f"ft-up{s}", bandwidth, overhead) for s in range(num_switches)]
@@ -526,11 +393,16 @@ class DragonflyFabric:
                 f"global_taper must be positive, got {self.global_taper}"
             )
 
+    def shares_links(self, num_nodes: int) -> bool:
+        """Whether :meth:`build` makes shared link state for ``num_nodes``
+        (not when every node hangs off one router)."""
+        return num_nodes > self.hosts_per_router
+
     def build(self, num_nodes: int, params) -> FabricState | None:
+        if not self.shares_links(num_nodes):
+            return None
         hosts = self.hosts_per_router
         num_routers = (num_nodes + hosts - 1) // hosts
-        if num_routers <= 1:
-            return None
         overhead = params.nic_message_overhead
         port_bw = hosts * params.injection_bandwidth
         local = [_Link(f"df-r{r}", port_bw, overhead) for r in range(num_routers)]

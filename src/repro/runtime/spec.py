@@ -23,6 +23,7 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.machine.cluster import Cluster
+from repro.machine.folding import fabric_fold_refusal
 from repro.machine.hierarchy import LocalityLevel
 from repro.machine.params import LevelCosts, MachineParameters
 from repro.machine.topology import NodeArchitecture
@@ -119,7 +120,8 @@ class PointSpec:
     #: present, so all pre-phases cache keys are bit-identical.
     phases: str | None = None
     #: Symmetry-folding mode for the simulate engine ("off", "auto", "on").
-    #: Ignored by the model engine, which is scale-free already.
+    #: Ignored by the model engine, which is scale-free already; rejected
+    #: unless ``"off"`` on a fabric with shared links.
     fold: str = "off"
     #: Optional :class:`repro.faults.FaultSpec` injected into the simulate
     #: engine.  Part of the cache identity when non-empty (a faulted point
@@ -182,6 +184,12 @@ class PointSpec:
                 f"spec requests {self.num_nodes} nodes but the cluster has "
                 f"{self.cluster.num_nodes}"
             )
+        if self.fold != "off":
+            # Rejected like faults with folding: a spec that may not fold
+            # never gets a key, so no folded result is served for it.
+            refusal = fabric_fold_refusal(self.cluster, self.num_nodes)
+            if refusal is not None:
+                raise ConfigurationError(refusal)
 
     # -- construction -------------------------------------------------------
     @classmethod

@@ -25,6 +25,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.errors import CommunicatorError, DeadlockError, SimulationError
+from repro.machine.folding import fabric_fold_refusal
 from repro.machine.hierarchy import LocalityLevel
 from repro.machine.process_map import ProcessMap
 from repro.netsim.simulator import Simulator
@@ -303,6 +304,10 @@ class SpmdEngine:
                 "faults break the node-rotation symmetry the fold relies on "
                 "(run with fold='off')"
             )
+        if pmap.is_folded:
+            refusal = fabric_fold_refusal(pmap.cluster, pmap.num_nodes)
+            if refusal is not None:
+                raise SimulationError(refusal)
         self.timing = TimingModel(pmap, sink=sink, faults=self.faults)
         self.router = MessageRouter(self.timing, sink=sink)
         self.contexts = ContextIdAllocator()

@@ -128,7 +128,7 @@ class TimingModel:
 
             if self.fabric is not None:
                 # Link faults mutate the freshly built state before any
-                # traffic; folded views are rejected upstream (faults break
+                # traffic; folded maps are rejected upstream (faults break
                 # the node-rotation symmetry folding relies on).
                 apply_link_faults(self.fabric, self.faults)
             self._nic_scale = nic_scale_vector(self.faults, sim_nodes)
@@ -137,10 +137,6 @@ class TimingModel:
 
                 announce_faults(sink, self.faults)
         if self.fabric is not None:
-            if pmap.is_folded:
-                from repro.netsim.fabric import FoldedFabricView
-
-                self.fabric = FoldedFabricView(self.fabric, sim_nodes)
             self.fabric.sink = sink
         params = self.params
         self._node_of = [pmap.node_of(rank) for rank in range(pmap.nprocs)]

@@ -3,29 +3,17 @@
 Symmetry folding (:mod:`repro.machine.folding`) simulates one node's ranks
 standing in for the whole machine.  That is only worth anything if the folded
 timeline is *the same timeline* — so this module runs every check twice, once
-folded and once at full width, and compares:
+folded and once at full width, and demands **bit-identical** results: same
+``elapsed``, same per-representative finish times, same per-level traffic
+totals once scaled by the multiplicity, and independently-validated receive
+contents on both sides.  The gate asserts float equality, not closeness.
 
-* **Exact-equivalence class** — on a contention-free fabric (full bisection,
-  the preset default) the folded run is **bit-identical**: same ``elapsed``,
-  same per-representative finish times, same per-level traffic totals once
-  scaled by the multiplicity, and independently-validated receive contents on
-  both sides.  The gate asserts float equality, not closeness.
-* **Aggregate-equivalence class** — on a contended fabric
-  (:class:`~repro.netsim.fabric.FatTreeFabric` with oversubscription > 1)
-  the folded run prices shared links through
-  :class:`~repro.netsim.fabric.FoldedFabricView`, which restores the absent
-  nodes' traffic with per-link multipliers.  Per-link ``busy_time``/``bytes``
-  accounting is exact; elapsed reproduces per-link saturation but not
-  per-message interleaving, so the gate checks relative elapsed agreement
-  within :data:`FABRIC_REL_TOL` instead of bit equality (measured deviation
-  is ≤ 0.26 across 4–32 nodes for pairwise/node-aware/bruck).
-
-Known limitation: :class:`~repro.netsim.fabric.DragonflyFabric` routes every
-cross-group message over three FIFO links, and full runs there are dominated
-by emergent convoy (head-of-line) compounding — elapsed several times above
-any per-link load bound.  A folded timeline reproduces the load bounds but
-not the convoying, so dragonfly is excluded from the tolerance gate and
-documented as outside the folding equivalence envelope.
+Folding is exact only on a fabric without shared links (full bisection,
+the preset default); everywhere else it is refused
+(:func:`~repro.machine.folding.fabric_fold_refusal`).  On a contended
+fat-tree and dragonfly the gate therefore checks the refusal instead:
+``fold="on"`` must raise, and ``fold="auto"`` must run the full simulation,
+bit-equal to ``fold="off"``.
 
 A second, cheaper check (:func:`model_crosscheck`) runs *folded* simulations
 at machine scales no full simulation can reach and compares them against the
@@ -40,14 +28,14 @@ from typing import Sequence
 
 from repro.core.alltoall.registry import list_algorithms
 from repro.core.runner import run_alltoall, run_workload
+from repro.errors import ConfigurationError
 from repro.machine.process_map import ProcessMap
 from repro.machine.systems import tiny_cluster
 from repro.model.predict import predict_time
-from repro.netsim.fabric import FatTreeFabric
+from repro.netsim.fabric import DragonflyFabric, FatTreeFabric
 from repro.workloads.generators import block_diagonal, neighbor_shift, uniform
 
 __all__ = [
-    "FABRIC_REL_TOL",
     "FoldGateRecord",
     "FoldGateReport",
     "ModelCrossPoint",
@@ -56,10 +44,6 @@ __all__ = [
     "model_crosscheck",
     "run_fold_gate",
 ]
-
-#: Relative elapsed tolerance for the aggregate-equivalence (contended
-#: fabric) class.  Exact-class comparisons ignore this and demand equality.
-FABRIC_REL_TOL = 0.35
 
 #: Message sizes exercised per algorithm: one eager, one rendezvous (the
 #: testing parameters put the eager/rendezvous switch at 16 KiB).
@@ -72,28 +56,33 @@ class FoldGateRecord:
 
     #: What was compared (algorithm, shape, size, workload kind).
     label: str
-    #: ``"exact"`` (bit-identical demanded) or ``"aggregate"`` (tolerance).
-    equivalence: str
     full_elapsed: float
     folded_elapsed: float
-    #: Whether elapsed/finish-times matched under the class's criterion.
+    #: Whether elapsed and the compared finish times are bit-identical.
     timings_ok: bool
     #: Whether per-level (messages, bytes) totals matched exactly.
     traffic_ok: bool
     #: Whether both runs validated their receive buffers.
     contents_ok: bool
-    #: Fold multiplicity of the folded run.
+    #: Fold multiplicity of the folded run (1 when it ran at full width).
     multiplicity: int
+    #: On a fabric with shared links: whether ``fold="on"`` was refused (the
+    #: compared run is then ``fold="auto"``).  ``None`` where folding is allowed.
+    refused: bool | None = None
 
     @property
     def ok(self) -> bool:
-        return self.timings_ok and self.traffic_ok and self.contents_ok
+        return self.timings_ok and self.traffic_ok and self.contents_ok and self.refused is not False
 
     def describe(self) -> str:
         status = "ok" if self.ok else "FAIL"
+        if self.refused is None:
+            folded = "folded"
+        else:
+            folded = "on refused, auto" if self.refused else "on NOT refused, auto"
         return (
-            f"[{status}] {self.label} ({self.equivalence}): "
-            f"full={self.full_elapsed:.6e}s folded={self.folded_elapsed:.6e}s "
+            f"[{status}] {self.label}: "
+            f"full={self.full_elapsed:.6e}s {folded}={self.folded_elapsed:.6e}s "
             f"x{self.multiplicity}"
         )
 
@@ -122,56 +111,52 @@ class FoldGateReport:
         return "\n".join(lines)
 
 
-def _compare(full, folded, label: str, equivalence: str) -> FoldGateRecord:
-    if equivalence == "exact":
-        timings_ok = full.elapsed == folded.elapsed
-        if timings_ok and full.job is not None and folded.job is not None:
-            ppn = folded.ppn
-            timings_ok = full.job.finish_times[:ppn] == folded.job.finish_times
+def _compare(run, pmap: ProcessMap, label: str) -> FoldGateRecord:
+    """Compare ``run(fold)`` folded against ``run("off")``, bit for bit.
+
+    Where the job's fabric builds link state, ``run("on")`` must be refused
+    and ``run("auto")`` takes the folded run's place.
+    """
+    full = run("off")
+    refused = None
+    if pmap.model_fabric_state is not None:
+        label = f"{label} on {pmap.cluster.fabric.describe()}"
+        try:
+            run("on")
+            refused = False
+        except ConfigurationError:
+            refused = True
+        folded = run("auto")
     else:
-        scale = max(abs(full.elapsed), abs(folded.elapsed), 1e-30)
-        timings_ok = abs(full.elapsed - folded.elapsed) <= FABRIC_REL_TOL * scale
-    traffic_ok = full.traffic_by_level == folded.traffic_by_level
-    contents_ok = full.correct and folded.correct
-    multiplicity = folded.fold["multiplicity"] if folded.fold else 1
+        folded = run("on")
+    timings_ok = full.elapsed == folded.elapsed
+    if timings_ok and full.job is not None and folded.job is not None:
+        finish = folded.job.finish_times
+        timings_ok = full.job.finish_times[:len(finish)] == finish
     return FoldGateRecord(
         label=label,
-        equivalence=equivalence,
         full_elapsed=full.elapsed,
         folded_elapsed=folded.elapsed,
         timings_ok=timings_ok,
-        traffic_ok=traffic_ok,
-        contents_ok=contents_ok,
-        multiplicity=multiplicity,
+        traffic_ok=full.traffic_by_level == folded.traffic_by_level,
+        contents_ok=full.correct and folded.correct,
+        multiplicity=folded.fold["multiplicity"] if folded.fold else 1,
+        refused=refused,
     )
 
 
-def compare_alltoall_fold(
-    algorithm: str,
-    pmap: ProcessMap,
-    msg_bytes: int,
-    *,
-    equivalence: str = "exact",
-) -> FoldGateRecord:
+def compare_alltoall_fold(algorithm: str, pmap: ProcessMap, msg_bytes: int) -> FoldGateRecord:
     """Run one uniform exchange folded and unfolded, compare the timelines."""
-    full = run_alltoall(algorithm, pmap, msg_bytes, fold="off")
-    folded = run_alltoall(algorithm, pmap, msg_bytes, fold="on")
-    label = f"{algorithm} {pmap.num_nodes}n x {pmap.ppn}p msg={msg_bytes}"
-    return _compare(full, folded, label, equivalence)
+    return _compare(
+        lambda fold: run_alltoall(algorithm, pmap, msg_bytes, fold=fold),
+        pmap,
+        f"{algorithm} {pmap.num_nodes}n x {pmap.ppn}p msg={msg_bytes}",
+    )
 
 
-def compare_workload_fold(
-    algorithm: str,
-    pmap: ProcessMap,
-    matrix,
-    label: str,
-    *,
-    equivalence: str = "exact",
-) -> FoldGateRecord:
+def compare_workload_fold(algorithm: str, pmap: ProcessMap, matrix, label: str) -> FoldGateRecord:
     """Run one non-uniform exchange folded and unfolded, compare timelines."""
-    full = run_workload(algorithm, pmap, matrix, fold="off")
-    folded = run_workload(algorithm, pmap, matrix, fold="on")
-    return _compare(full, folded, label, equivalence)
+    return _compare(lambda fold: run_workload(algorithm, pmap, matrix, fold=fold), pmap, label)
 
 
 def run_fold_gate(
@@ -210,12 +195,15 @@ def run_fold_gate(
         )
 
     if include_fabric:
-        fabric = FatTreeFabric(hosts_per_switch=max(2, num_nodes // 4), oversubscription=2.0)
-        fpmap = ProcessMap(tiny_cluster(num_nodes=num_nodes, fabric=fabric), ppn=ppn)
-        for name in ("pairwise", "node-aware"):
-            report.records.append(
-                compare_alltoall_fold(name, fpmap, 32768, equivalence="aggregate")
-            )
+        # Contended fabrics: folding must be refused, and auto must be the full run.
+        fabrics = (
+            FatTreeFabric(hosts_per_switch=max(2, num_nodes // 4), oversubscription=2.0),
+            DragonflyFabric(hosts_per_router=2, routers_per_group=2, global_taper=4.0),
+        )
+        for fabric in fabrics:
+            fpmap = ProcessMap(tiny_cluster(num_nodes=num_nodes, fabric=fabric), ppn=ppn)
+            for name in ("pairwise", "node-aware"):
+                report.records.append(compare_alltoall_fold(name, fpmap, 32768))
     return report
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.machine.hierarchy import LocalityLevel
+from repro.machine.params import MachineParameters
 from repro.machine.systems import (
     amber,
     dane,
@@ -94,6 +95,9 @@ class TestTinyCluster:
         cluster = tiny_cluster(num_nodes=2, sockets=1, numa_per_socket=2, cores_per_numa=3)
         assert cluster.cores_per_node == 6
         assert cluster.num_nodes == 2
+
+    def test_parameters_object_available(self):
+        assert isinstance(tiny_cluster().params, MachineParameters)
 
 
 class TestPresetFabrics:

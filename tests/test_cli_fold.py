@@ -48,6 +48,31 @@ class TestRunFold:
         folded_elapsed = folded.split("->")[1].split("s")[0].strip()
         assert plain_elapsed == folded_elapsed
 
+    def test_run_fold_on_contended_fabric_refused(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--system", "tiny", "--fabric", "dragonfly", "--algorithm",
+                  "node-aware", "--nodes", "4", "--ppn", "4", "--msg-bytes", "16384",
+                  "--fold", "on"])
+        assert "dragonfly" in str(exc.value)
+
+    def test_run_fold_auto_contended_fabric_runs_full_width(self, capsys):
+        argv = ["run", "--system", "tiny", "--fabric", "dragonfly", "--algorithm",
+                "node-aware", "--nodes", "4", "--ppn", "4", "--msg-bytes", "16384"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--fold", "auto"]) == 0
+        auto = capsys.readouterr().out
+        assert "[folded" not in auto
+        assert auto == plain
+
+    def test_nodes_paper_on_contended_fabric_refused(self):
+        """--nodes paper folds; a fabric that refuses folding fails fast."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--system", "dane", "--nodes", "paper", "--ppn", "112",
+                  "--fabric", "dragonfly", "--algorithm", "node-aware",
+                  "--msg-bytes", "4"])
+        assert "dragonfly" in str(exc.value)
+
     def test_nodes_paper_requires_table1_system(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--system", "tiny", "--nodes", "paper"])
@@ -68,6 +93,18 @@ class TestWorkloadFold:
             main(["workload", "--system", "tiny", "--pattern", "skewed-moe",
                   "--algorithm", "pairwise", "--nodes", "4", "--ppn", "4",
                   "--msg-bytes", "64", "--fold", "on", "--no-model"])
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["direct", "cached"])
+    def test_workload_fold_on_asymmetric_pattern_refused(self, cached, tmp_path):
+        """The result-store path refuses an unfoldable fold like the direct path."""
+        argv = ["workload", "--system", "tiny", "--pattern", "skewed-moe",
+                "--algorithm", "pairwise", "--nodes", "4", "--ppn", "4",
+                "--msg-bytes", "64", "--fold", "on", "--no-model"]
+        if cached:
+            argv += ["--cache-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert "not foldable" in str(exc.value)
 
     def test_workload_fold_auto_asymmetric_falls_back(self, capsys):
         assert main(["workload", "--system", "tiny", "--pattern", "skewed-moe",
